@@ -15,8 +15,8 @@ stdout). Output is deterministic byte for byte given the same flags: CSV
 starts with ``# htmr-lab v<version> seed=<seed> semantics=voter-passthrough``
 followed by a config echo, probabilities print with 12 significant digits,
 infinity prints as ``inf``, and absent values are empty cells (CSV) or
-null (JSON). Exit codes: 0 success, 2 usage/validation error, 1 internal
-error.
+null (JSON). Exit codes: 0 success, 2 usage/validation error (including an
+``--out`` path that cannot be written), 1 internal error.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _parse_pfmb(text: str):
         raise ValueError(f"--pfmb expects 'pf' or a probability, got {text!r}")
 
 
-def _grid_from_args(args, default_pf=None) -> tuple[float, float, int, str]:
+def _grid_from_args(args) -> tuple[float, float, int, str]:
     has_point = args.pf is not None
     has_grid = args.pf_min is not None or args.pf_max is not None
     if has_point and has_grid:
@@ -142,8 +142,6 @@ def _grid_from_args(args, default_pf=None) -> tuple[float, float, int, str]:
         if args.pf_min is None or args.pf_max is None:
             raise ValueError("a grid needs both --pf-min and --pf-max")
         return (args.pf_min, args.pf_max, args.pf_steps, args.pf_scale)
-    if default_pf is not None:
-        return (default_pf, default_pf, 1, "lin")
     raise ValueError("give --pf or a --pf-min/--pf-max grid")
 
 
@@ -226,7 +224,7 @@ def cmd_simulate(args) -> OutputDocument:
         orders=",".join(str(j) for j in orders),
         pfmb=cfg.pfmb,
         trials=cfg.trials,
-        streams="derive(point,order,block)",
+        streams="derive(point,order,block)@2",
     )
     if args.scenario:
         meta["scenario"] = args.scenario
@@ -378,6 +376,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 1
+    except OSError as exc:
+        print(f"htmr-lab: error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"htmr-lab: internal error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ import numpy as np
 from .faults import SCENARIO_PATTERNS, RandomSource, make_scenario
 from .network import build_network, run_trials, tile_scenario
 from .reliability import (
-    MAX_ORDER,
+    check_order,
     check_probability,
     operations_per_error,
     pe_first,
@@ -92,8 +92,7 @@ class SweepConfig:
         if not self.orders:
             raise ValueError("at least one order is required")
         for j in self.orders:
-            if not 0 <= j <= MAX_ORDER:
-                raise ValueError(f"orders must lie in 0..{MAX_ORDER}, got {j}")
+            check_order("orders", j)
         if tuple(sorted(self.orders)) != tuple(self.orders):
             raise ValueError("orders must be given in ascending order")
         if isinstance(self.pfmb, str):
@@ -172,16 +171,11 @@ def _scenario_pe(pattern: str, pf: float, order: int) -> float:
 
 
 def _analytic_row(cfg: SweepConfig, pf: float, order: int) -> ComparisonRow:
-    pfmb = cfg.pfmb_at(pf)
     if cfg.scenario is not None:
-        pe = _scenario_pe(cfg.scenario, pf, order)
-        pem = pe
+        pe = pem = _scenario_pe(cfg.scenario, pf, order)
     else:
         pe = pe_order(order, pf)
-        if order == 0 or pfmb == 0.0:
-            pem = pf if order == 0 else pe
-        else:
-            pem = pem_order(order, pf, pfmb)
+        pem = pem_order(order, pf, cfg.pfmb_at(pf))
     if pf == 0.0:
         re = rem = re_per_module = None
     else:
@@ -202,21 +196,10 @@ def sweep_analytic(cfg: SweepConfig) -> list[ComparisonRow]:
     ]
 
 
-def _simulate_order0(pf: float, n: int, stream: RandomSource) -> tuple[int, int]:
-    """Bare unprotected module: one draw per trial, error iff it inverts."""
-    u = stream.derive(0).uniforms(n)
-    return n, int((u < pf).sum())
-
-
 def _empirical_row(
     cfg: SweepConfig, pf: float, order: int, stream: RandomSource
 ) -> ComparisonRow:
     row = _analytic_row(cfg, pf, order)
-    if order == 0:
-        trials, errors = _simulate_order0(pf, cfg.trials, stream)
-        pe_hat = errors / trials
-        std_err = math.sqrt(pe_hat * (1.0 - pe_hat) / trials)
-        return replace(row, pe_hat=pe_hat, std_err=std_err, trials=trials)
     if cfg.scenario is not None:
         leaves = tile_scenario(make_scenario(cfg.scenario, pf), order)
         net = build_network(order, leaves, voter_fault_rate=0.0)
@@ -228,6 +211,14 @@ def _empirical_row(
     )
 
 
+def _empirical_rows(cfg: SweepConfig, master: RandomSource) -> list[ComparisonRow]:
+    return [
+        _empirical_row(cfg, pf, order, master.derive(i, order))
+        for i, pf in enumerate(cfg.pf_values())
+        for order in cfg.orders
+    ]
+
+
 def sweep_monte_carlo(cfg: SweepConfig) -> list[ComparisonRow]:
     """Grid sweep carrying both analytic and empirical columns.
 
@@ -237,12 +228,7 @@ def sweep_monte_carlo(cfg: SweepConfig) -> list[ComparisonRow]:
     """
     if cfg.trials < 1:
         raise ValueError("sweep_monte_carlo needs trials >= 1; use sweep_analytic for 0")
-    master = RandomSource(cfg.seed)
-    rows = []
-    for i, pf in enumerate(cfg.pf_values()):
-        for order in cfg.orders:
-            rows.append(_empirical_row(cfg, pf, order, master.derive(i, order)))
-    return rows
+    return _empirical_rows(cfg, RandomSource(cfg.seed))
 
 
 def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
@@ -255,32 +241,15 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
     """
     if cfg.scenario is not None:
         raise ValueError("scenario_suite runs all scenarios; leave cfg.scenario unset")
-    if cfg.pfmb != 0.0:
-        raise ValueError("scenario studies model fault-free voters (pfmb must be 0)")
-    orders = tuple(j for j in cfg.orders if j >= 1) or (1, 2)
     master = RandomSource(cfg.seed)
     suite: dict[str, list[ComparisonRow]] = {}
     for s, pattern in enumerate(SCENARIO_PATTERNS):
-        sub = SweepConfig(
-            pf_min=cfg.pf_min,
-            pf_max=cfg.pf_max,
-            pf_steps=cfg.pf_steps,
-            pf_scale=cfg.pf_scale,
-            orders=orders,
-            pfmb=0.0,
-            trials=cfg.trials,
-            scenario=pattern,
-            seed=cfg.seed,
-            workers=cfg.workers,
-        )
-        rows = []
-        for i, pf in enumerate(sub.pf_values()):
-            for order in orders:
-                if cfg.trials >= 1:
-                    rows.append(_empirical_row(sub, pf, order, master.derive(s, i, order)))
-                else:
-                    rows.append(_analytic_row(sub, pf, order))
-        suite[pattern] = rows
+        # SweepConfig enforces the scenario rules (orders >= 1, pfmb = 0)
+        sub = replace(cfg, scenario=pattern)
+        if cfg.trials >= 1:
+            suite[pattern] = _empirical_rows(sub, master.derive(s))
+        else:
+            suite[pattern] = sweep_analytic(sub)
     return suite
 
 

@@ -4,7 +4,8 @@ A network of order ``j`` is a complete ternary tree: 3**j leaf modules at
 the bottom, (3**j - 1) / 2 voters above them, every voter taking exactly
 three children. Voters are indexed breadth-first from the root (root = 0);
 leaf ``k`` sits at tree node ``voter_count + k``, so the children of voter
-``v`` are nodes ``3v+1``, ``3v+2``, ``3v+3``.
+``v`` are nodes ``3v+1``, ``3v+2``, ``3v+3``. Order 0 is the bare module:
+one leaf, no voters, and the leaf is the root.
 
 Per trial, one reference bit is pushed through the whole tree. Every voter
 shares the same fault rate: with that probability its data path fails and
@@ -30,7 +31,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .faults import ModuleKind, RandomSource, Scenario, module_output
-from .reliability import MAX_ORDER, check_probability
+from .reliability import check_order, check_probability
 from .voting import alarm_signal, majority_vote
 
 __all__ = [
@@ -61,8 +62,7 @@ class HtmrNetwork:
     voter_fault_rate: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {self.order}")
+        object.__setattr__(self, "order", check_order("order", self.order))
         expected = 3 ** self.order
         if len(self.leaves) != expected:
             raise ValueError(
@@ -114,7 +114,6 @@ def build_network(
     order: int,
     leaf_config: LeafConfig,
     voter_fault_rate: float = 0.0,
-    max_order: int = MAX_ORDER,
 ) -> HtmrNetwork:
     """Construct and validate a network.
 
@@ -122,8 +121,7 @@ def build_network(
     that rate), a single ``ModuleKind`` replicated across all leaves, or
     an explicit sequence of exactly 3**order kinds.
     """
-    if not 1 <= order <= max_order:
-        raise ValueError(f"order must lie in 1..{max_order}, got {order}")
+    order = check_order("order", order)
     count = 3 ** order
     if isinstance(leaf_config, ModuleKind):
         leaves = (leaf_config,) * count
@@ -143,7 +141,7 @@ def tile_scenario(scenario: Scenario, order: int) -> tuple[ModuleKind, ...]:
     """
     if len(scenario) != 3:
         raise ValueError("a scenario holds exactly three modules")
-    if order < 1:
+    if check_order("order", order) < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     return tuple(scenario) * (3 ** (order - 1))
 
@@ -251,19 +249,21 @@ def health_report(counter: FaultStatusCounter, alert_level: float = 0.05) -> Hea
     )
 
 
-def _resolve_reference(reference, n: int):
+def _resolve_reference(reference, n: int, block_size: int):
     """Normalize the reference-bit specification for ``run_trials``.
 
     Returns a callable mapping (start, stop) to a uint8 array of reference
-    bits for that global trial range. Accepted specs: the string
-    "alternating" (trial i carries bit i % 2 -- results are payload
-    independent, this is just a non-degenerate default), a constant 0/1,
-    or an explicit bit array of length ``n``.
+    bits for that global trial range, at most ``block_size`` long. Accepted
+    specs: the string "alternating" (trial i carries bit i % 2 -- results
+    are payload independent, this is just a non-degenerate default), a
+    constant 0/1, or an explicit bit array of length ``n``.
     """
     if isinstance(reference, str):
         if reference != "alternating":
             raise ValueError(f"unknown reference stream {reference!r}")
-        return lambda start, stop: (np.arange(start, stop, dtype=np.int64) & 1).astype(np.uint8)
+        # one shared read-only pattern; each range is a view at its parity
+        pattern = (np.arange(min(n, block_size) + 1) & 1).astype(np.uint8)
+        return lambda start, stop: pattern[start & 1:(start & 1) + stop - start]
     if isinstance(reference, (int, np.integer)) and not isinstance(reference, bool):
         if reference not in (0, 1):
             raise ValueError(f"constant reference bit must be 0 or 1, got {reference!r}")
@@ -301,7 +301,7 @@ def _simulate_block(net: HtmrNetwork, ref_bits: np.ndarray, u: np.ndarray):
     for v in net.voters_bottom_up():
         ia, ib, ic = net.children_of(v)
         a, b, c = values[ia], values[ib], values[ic]
-        alarm_counts[v] = int(((a | b | c) & ((a & b & c) ^ 1)).sum())
+        alarm_counts[v] = np.count_nonzero((a | b | c) & ((a & b & c) ^ 1))
         voted = (a & b) | (a & c) | (b & c)
         if rate > 0.0:
             failed = u[:, col] < rate
@@ -309,7 +309,7 @@ def _simulate_block(net: HtmrNetwork, ref_bits: np.ndarray, u: np.ndarray):
             values[v] = np.where(failed, a, voted)
         else:
             values[v] = voted
-    errors = int((values[0] != ref_bits).sum())
+    errors = int(np.count_nonzero(values[0] != ref_bits))
     return errors, alarm_counts
 
 
@@ -337,7 +337,7 @@ def run_trials(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    ref_for = _resolve_reference(reference, n)
+    ref_for = _resolve_reference(reference, n, block_size)
     draw_cols = sum(1 for kind in net.leaves if kind.faulty)
     if net.voter_fault_rate > 0.0:
         draw_cols += net.voter_count

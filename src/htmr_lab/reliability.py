@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .faults import Scenario, scenario_pattern
+from .faults import Scenario, make_scenario, scenario_pattern
 
 __all__ = [
     "MAX_ORDER",
     "check_probability",
+    "check_order",
     "complement",
     "pe_first",
     "pem_first",
@@ -57,14 +58,13 @@ def check_probability(name: str, value: float) -> float:
     return p
 
 
-def _check_order(name: str, j: int, max_order: int) -> int:
+def check_order(name: str, j: int) -> int:
+    """Validate a nesting order (an integer in 0..MAX_ORDER); returns it as an int."""
     if j != int(j):
         raise ValueError(f"{name} must be an integer, got {j!r}")
     j = int(j)
-    if j < 0:
-        raise ValueError(f"{name} must be >= 0, got {j}")
-    if j > max_order:
-        raise ValueError(f"{name}={j} exceeds the configured maximum {max_order}")
+    if not 0 <= j <= MAX_ORDER:
+        raise ValueError(f"{name} must lie in 0..{MAX_ORDER}, got {j}")
     return j
 
 
@@ -74,9 +74,12 @@ def complement(pf: float) -> float:
 
 
 def pe_first(pf: float) -> float:
-    """Output error probability of one voter over three modules at rate ``pf``."""
+    """Output error probability of one voter over three modules at rate ``pf``.
+
+    Just below ``pf`` = 1 the polynomial rounds above 1, so it is clamped.
+    """
     p = check_probability("pf", pf)
-    return 3.0 * p * p - 2.0 * p * p * p
+    return min(3.0 * p * p - 2.0 * p * p * p, 1.0)
 
 
 def pem_first(pf: float, pfmb: float) -> float:
@@ -91,35 +94,32 @@ def pem_first(pf: float, pfmb: float) -> float:
     return p * q + pe_first(p) * (1.0 - q)
 
 
-def pe_order(j: int, pf: float, max_order: int = MAX_ORDER) -> float:
+def pe_order(j: int, pf: float) -> float:
     """Error probability after ``j`` nested levels of voting.
 
     ``j`` = 0 is the bare, unprotected module; each further level feeds
     the previous level's output triples into a fresh voter, composing the
     two-of-three polynomial once more.
     """
-    j = _check_order("j", j, max_order)
+    j = check_order("j", j)
     p = check_probability("pf", pf)
     for _ in range(j):
         p = pe_first(p)
     return p
 
 
-def pem_order(j: int, pf: float, pfmb: float, max_order: int = MAX_ORDER) -> float:
+def pem_order(j: int, pf: float, pfmb: float) -> float:
     """Error probability of a ``j``-level hierarchy with faulty voters.
 
     Recursion: pem_j = pem_{j-1} * pfmb + pe_j * (1 - pfmb), anchored at
-    ``pem_first``. Requires ``j`` >= 1; with ``pfmb`` = 0 this equals
-    ``pe_order(j, pf)``.
+    the bare module, pem_0 = ``pf``; level 1 is ``pem_first``. With
+    ``pfmb`` = 0 this equals ``pe_order(j, pf)`` bit for bit.
     """
-    j = _check_order("j", j, max_order)
-    if j < 1:
-        raise ValueError("pem_order requires j >= 1 (a hierarchy with voters)")
+    j = check_order("j", j)
     p = check_probability("pf", pf)
     q = check_probability("pfmb", pfmb)
-    pe = pe_first(p)
-    pem = p * q + pe * (1.0 - q)
-    for _ in range(j - 1):
+    pe = pem = p
+    for _ in range(j):
         pe = pe_first(pe)
         pem = pem * q + pe * (1.0 - q)
     return pem
@@ -160,11 +160,10 @@ def scenario_error_probability(scenario: Union[Scenario, str], pf: float) -> flo
     must err together (pf**2); with three, the full two-of-three
     polynomial applies.
     """
-    pattern = scenario if isinstance(scenario, str) else scenario_pattern(scenario)
-    if len(pattern) != 3 or set(pattern) - {"N", "F"}:
-        raise ValueError(f"scenario pattern must be three N/F letters, got {pattern!r}")
     p = check_probability("pf", pf)
-    faulty = pattern.count("F")
+    if isinstance(scenario, str):
+        scenario = make_scenario(scenario, p)
+    faulty = scenario_pattern(scenario).count("F")
     if faulty <= 1:
         return 0.0
     if faulty == 2:
@@ -189,9 +188,9 @@ class PropositionReport:
     verdict: str
 
 
-def proposition_check(pf: float, j_max: int, max_order: int = MAX_ORDER) -> PropositionReport:
+def proposition_check(pf: float, j_max: int) -> PropositionReport:
     """Evaluate levels 1..j_max and test strict decrease between neighbours."""
-    j_max = _check_order("j_max", j_max, max_order)
+    j_max = check_order("j_max", j_max)
     if j_max < 2:
         raise ValueError("proposition_check needs j_max >= 2 to compare levels")
     p = check_probability("pf", pf)

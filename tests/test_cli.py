@@ -84,6 +84,15 @@ class TestAnalytic:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analytic", "--pf", "0.999999999", "--orders", "1,2,3"),
+        ("simulate", "--pf", "0.999999999", "--orders", "1,2,3", "--trials", "100"),
+        ("proposition", "--pf", "0.999999999", "--j-max", "3"),
+    ])
+    def test_rate_just_below_one_succeeds(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
     def test_zero_rate_emits_empty_reduction_cells(self, capsys):
         code, out, _ = run_cli(capsys, "analytic", "--pf", "0", "--orders", "1")
         _, rows = data_rows(out)
@@ -162,6 +171,13 @@ class TestScenarios:
             assert cells[2] == "0"      # pe
             assert cells[4] == "inf"    # re
 
+    @pytest.mark.parametrize("orders", ["0", "0,1"])
+    def test_order_zero_exits_2(self, capsys, orders):
+        code, out, err = run_cli(capsys, "scenarios", "--pf", "0.2", "--orders", orders)
+        assert code == 2
+        assert out == ""
+        assert "scenario sweeps need orders >= 1" in err
+
     def test_empirical_suite(self, capsys):
         code, out, _ = run_cli(
             capsys, "scenarios", "--pf", "0.2", "--trials", "5000", "--seed", "3"
@@ -235,6 +251,13 @@ class TestOutputPlumbing:
         re_column = doc["columns"].index("re")
         nnf_rows = [row for row in doc["rows"] if row[-1] == "NNF"]
         assert nnf_rows and all(row[re_column] == "inf" for row in nnf_rows)
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.csv"
+        code, out, err = run_cli(capsys, "table3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "internal error" not in err and str(target) in err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -137,8 +137,8 @@ class TestSweepMonteCarlo:
         assert sweep_monte_carlo(cfg) == sweep_monte_carlo(cfg)
 
     def test_worker_count_is_invisible_in_results(self):
-        base = SweepConfig.single(0.2, orders=(2,), trials=140_000, seed=11)
-        parallel = SweepConfig.single(0.2, orders=(2,), trials=140_000, seed=11, workers=4)
+        base = SweepConfig.single(0.2, orders=(0, 2), trials=140_000, seed=11)
+        parallel = SweepConfig.single(0.2, orders=(0, 2), trials=140_000, seed=11, workers=4)
         assert sweep_monte_carlo(base) == sweep_monte_carlo(parallel)
 
 
@@ -180,6 +180,13 @@ class TestScenarioSuite:
     def test_rejects_single_scenario_config(self):
         with pytest.raises(ValueError):
             scenario_suite(SweepConfig.single(0.1, orders=(1,), scenario="NNF"))
+
+    def test_sweep_rules_apply_to_every_scenario(self):
+        for orders in ((0,), (0, 1)):
+            with pytest.raises(ValueError, match="orders >= 1"):
+                scenario_suite(SweepConfig.single(0.2, orders=orders))
+        with pytest.raises(ValueError, match="pfmb must be 0"):
+            scenario_suite(SweepConfig.single(0.2, orders=(1,), pfmb="pf"))
 
 
 class TestFloorPresentation:

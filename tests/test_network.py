@@ -21,11 +21,13 @@ from htmr_lab.network import (
     simulate_bit,
     tile_scenario,
 )
-from htmr_lab.reliability import pe_first, pe_order, pem_first
+from htmr_lab.reliability import MAX_ORDER, pe_first, pe_order, pem_first
 
 
 class TestTopology:
-    @pytest.mark.parametrize("order,leaves,voters", [(1, 3, 1), (2, 9, 4), (3, 27, 13)])
+    @pytest.mark.parametrize(
+        "order,leaves,voters", [(0, 1, 0), (1, 3, 1), (2, 9, 4), (3, 27, 13)]
+    )
     def test_counts(self, order, leaves, voters):
         net = build_network(order, 0.1)
         assert net.leaf_count == leaves
@@ -55,9 +57,9 @@ class TestTopology:
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
-            build_network(0, 0.1)
+            build_network(-1, 0.1)
         with pytest.raises(ValueError):
-            build_network(17, 0.1)
+            build_network(MAX_ORDER + 1, 0.1)
 
     def test_uniform_and_explicit_configs_agree(self):
         uniform = build_network(1, 0.2)
@@ -74,6 +76,12 @@ class TestTopology:
         tiled = tile_scenario(scenario, 2)
         assert len(tiled) == 9
         assert tiled[0:3] == scenario and tiled[3:6] == scenario and tiled[6:9] == scenario
+
+    def test_tile_scenario_checks_order_before_tiling(self):
+        scenario = make_scenario("NNF", 0.3)
+        for order in (0, MAX_ORDER + 1):
+            with pytest.raises(ValueError):
+                tile_scenario(scenario, order)
 
 
 class TestSimulateBit:
@@ -123,20 +131,23 @@ class TestSimulateBit:
 class TestRunTrialsDeterminism:
     def test_scalar_and_vectorized_routes_are_bit_identical(self):
         leaves = (FAULT_FREE, faulty_module(0.35), faulty_module(0.8)) * 3
-        net = build_network(2, leaves, voter_fault_rate=0.2)
-        master = RandomSource(4242)
-        estimate, counter = run_trials(net, 700, master)
-        stream = master.derive(0)  # single block: block 0 carries all draws
-        errors = 0
-        alarm_counts = [0] * net.voter_count
-        for i in range(700):
-            ref = i & 1
-            out, alarms = simulate_bit(net, ref, stream)
-            errors += int(out != ref)
-            for v, alarm in enumerate(alarms):
-                alarm_counts[v] += alarm
-        assert estimate.errors == errors
-        assert counter.alarm_counts == tuple(alarm_counts)
+        for net in (
+            build_network(2, leaves, voter_fault_rate=0.2),
+            build_network(0, 0.35, voter_fault_rate=0.2),
+        ):
+            master = RandomSource(4242)
+            estimate, counter = run_trials(net, 700, master)
+            stream = master.derive(0)  # single block: block 0 carries all draws
+            errors = 0
+            alarm_counts = [0] * net.voter_count
+            for i in range(700):
+                ref = i & 1
+                out, alarms = simulate_bit(net, ref, stream)
+                errors += int(out != ref)
+                for v, alarm in enumerate(alarms):
+                    alarm_counts[v] += alarm
+            assert estimate.errors == errors
+            assert counter.alarm_counts == tuple(alarm_counts)
 
     def test_same_seed_same_results(self):
         net = build_network(2, 0.1, voter_fault_rate=0.05)

@@ -60,6 +60,15 @@ class TestPeFirst:
             with pytest.raises(ValueError):
                 pe_first(bad)
 
+    def test_near_one_never_rounds_above_one(self):
+        # 3p^2 - 2p^3 rounds to 1 + 2**-52 here; nesting must not reject it
+        p = 0.999999999
+        for j in (1, 2, 3):
+            assert pe_order(j, p) == 1.0
+            assert pem_order(j, p, 0.05) <= 1.0
+            assert reduction_rate(p, pe_order(j, p)) <= 0.0
+        assert proposition_check(p, 3).verdict == "violated"
+
     @given(probabilities)
     def test_symmetry(self, p):
         assert pe_first(1.0 - p) == pytest.approx(1.0 - pe_first(p), abs=1e-12)
@@ -122,8 +131,6 @@ class TestPeOrder:
             pe_order(MAX_ORDER + 1, 0.1)
         with pytest.raises(ValueError):
             pe_order(-1, 0.1)
-        with pytest.raises(ValueError):
-            pe_order(5, 0.1, max_order=4)
 
 
 class TestPemOrder:
@@ -139,9 +146,10 @@ class TestPemOrder:
         # 0.0352 * 0.1 + pe_first(0.028) * 0.9
         assert pem_order(2, 0.1, 0.1) == pytest.approx(5.5972864e-3, abs=1e-12)
 
-    def test_rejects_order_zero(self):
-        with pytest.raises(ValueError):
-            pem_order(0, 0.1, 0.1)
+    def test_order_zero_is_the_bare_module(self):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            for q in (0.0, 0.1, 1.0):
+                assert pem_order(0, p, q) == p
 
 
 class TestReductionRate:
