@@ -22,6 +22,7 @@ null (JSON). Exit codes: 0 success, 2 usage/validation error (including an
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -120,6 +121,19 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(f"--orders expects comma-separated integers, got {text!r}")
     return orders
+
+
+def _parse_trials(text: str) -> int:
+    """Trial count: an integer, also written in float notation such as 1e6."""
+    try:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        value = None
+    if value is None or not value.is_finite() or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(
+            f"expects a whole number of trials such as 1000 or 1e6, got {text!r}"
+        )
+    return int(value)
 
 
 def _parse_pfmb(text: str):
@@ -331,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--orders", default=None)
     p.add_argument("--pfmb", type=_parse_pfmb, default=0.0)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_parse_trials, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario", choices=("NNF", "NFF", "FFF"), default=None)
     p.add_argument("--workers", type=int, default=1)
@@ -341,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenarios", help="NNF/NFF/FFF faulty-module studies")
     _add_grid(p)
     p.add_argument("--orders", default="1,2")
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=_parse_trials, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)

@@ -93,8 +93,10 @@ class SweepConfig:
             raise ValueError("at least one order is required")
         for j in self.orders:
             check_order("orders", j)
-        if tuple(sorted(self.orders)) != tuple(self.orders):
-            raise ValueError("orders must be given in ascending order")
+        if any(a >= b for a, b in zip(self.orders, self.orders[1:])):
+            raise ValueError(
+                f"orders must be strictly ascending, without repeats, got {self.orders}"
+            )
         if isinstance(self.pfmb, str):
             if self.pfmb != "pf":
                 raise ValueError(f"pfmb must be 'pf' or a probability, got {self.pfmb!r}")

@@ -7,12 +7,18 @@ leaf ``k`` sits at tree node ``voter_count + k``, so the children of voter
 ``v`` are nodes ``3v+1``, ``3v+2``, ``3v+3``. Order 0 is the bare module:
 one leaf, no voters, and the leaf is the root.
 
-Per trial, one reference bit is pushed through the whole tree. Every voter
-shares the same fault rate: with that probability its data path fails and
-it passes its first child through un-voted, otherwise it emits the
-majority of its children. The disagreement alarm is computed from the
-children either way (the alarm logic is a parallel tap, not part of the
-failed data path).
+Every voter shares the same fault rate: with that probability its data
+path fails and it passes its first child through un-voted, otherwise it
+emits the majority of its children. The disagreement alarm is computed
+from the children either way (the alarm logic is a parallel tap, not part
+of the failed data path).
+
+Only ``simulate_bit``, the scalar reference semantics, pushes a reference
+bit through the tree. ``run_trials`` works on error bits ("this node's
+output differs from the reference"), one tree level per step. That is
+exact: inverting all three inputs of a voter inverts its majority and its
+pass-through output and leaves its alarm unchanged, so every node's error
+bit and every alarm are the same for either reference bit.
 
 Draw discipline, fixed so every run is bit-reproducible from its seed:
 within a trial, faulty leaves draw first (left to right), then, when the
@@ -51,6 +57,11 @@ __all__ = [
 # draws from its own derived stream, so results never depend on the worker
 # count -- only on (stream key, network, trial count).
 DEFAULT_BLOCK_SIZE = 1 << 16
+
+# Trials per uniform draw within a block. A block's draws come from its one
+# stream in row chunks; the stream fills in C order, so chunking consumes it
+# exactly like one block-sized draw while bounding the float matrix.
+_DRAW_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -249,75 +260,38 @@ def health_report(counter: FaultStatusCounter, alert_level: float = 0.05) -> Hea
     )
 
 
-def _resolve_reference(reference, n: int, block_size: int):
-    """Normalize the reference-bit specification for ``run_trials``.
+def _simulate_block(net: HtmrNetwork, hit: np.ndarray):
+    """Vectorized simulation of one block, one tree level per step.
 
-    Returns a callable mapping (start, stop) to a uint8 array of reference
-    bits for that global trial range, at most ``block_size`` long. Accepted
-    specs: the string "alternating" (trial i carries bit i % 2 -- results
-    are payload independent, this is just a non-degenerate default), a
-    constant 0/1, or an explicit bit array of length ``n``.
-    """
-    if isinstance(reference, str):
-        if reference != "alternating":
-            raise ValueError(f"unknown reference stream {reference!r}")
-        # one shared read-only pattern; each range is a view at its parity
-        pattern = (np.arange(min(n, block_size) + 1) & 1).astype(np.uint8)
-        return lambda start, stop: pattern[start & 1:(start & 1) + stop - start]
-    if isinstance(reference, (int, np.integer)) and not isinstance(reference, bool):
-        if reference not in (0, 1):
-            raise ValueError(f"constant reference bit must be 0 or 1, got {reference!r}")
-        bit = int(reference)
-        return lambda start, stop: np.full(stop - start, bit, dtype=np.uint8)
-    bits = np.asarray(reference)
-    if bits.shape != (n,):
-        raise ValueError(f"reference bit array must have shape ({n},), got {bits.shape}")
-    if not np.isin(bits, (0, 1)).all():
-        raise ValueError("reference bit array may only contain 0 and 1")
-    bits = bits.astype(np.uint8)
-    return lambda start, stop: bits[start:stop]
-
-
-def _simulate_block(net: HtmrNetwork, ref_bits: np.ndarray, u: np.ndarray):
-    """Vectorized per-block simulation.
-
-    ``u`` holds one row of uniforms per trial; columns follow the
-    documented draw order (faulty leaves, then voters bottom-up when the
-    voter fault rate is nonzero), so a block is bit-identical to running
+    ``hit`` holds one row per draw in the documented draw order (faulty
+    leaves, then voters bottom-up when the voter fault rate is nonzero)
+    and one column per trial; an entry is set when that draw fell below
+    its rate. Rows carry error bits, so a block is bit-identical to running
     ``simulate_bit`` trial by trial against the block's stream.
     """
-    n_voters = net.voter_count
-    values: list = [None] * (n_voters + net.leaf_count)
-    col = 0
-    for k, kind in enumerate(net.leaves):
-        if kind.faulty:
-            flips = (u[:, col] < kind.rate).astype(np.uint8)
-            values[n_voters + k] = ref_bits ^ flips
-            col += 1
-        else:
-            values[n_voters + k] = ref_bits
-    rate = net.voter_fault_rate
-    alarm_counts = np.zeros(n_voters, dtype=np.int64)
-    for v in net.voters_bottom_up():
-        ia, ib, ic = net.children_of(v)
-        a, b, c = values[ia], values[ib], values[ic]
-        alarm_counts[v] = np.count_nonzero((a | b | c) & ((a & b & c) ^ 1))
-        voted = (a & b) | (a & c) | (b & c)
-        if rate > 0.0:
-            failed = u[:, col] < rate
-            col += 1
-            values[v] = np.where(failed, a, voted)
-        else:
-            values[v] = voted
-    errors = int(np.count_nonzero(values[0] != ref_bits))
-    return errors, alarm_counts
+    faulty = [k for k, kind in enumerate(net.leaves) if kind.faulty]
+    x = np.zeros((net.leaf_count, hit.shape[1]), dtype=bool)
+    x[faulty] = hit[:len(faulty)]
+    col = len(faulty)
+    alarm_counts = np.zeros(net.voter_count, dtype=np.int64)
+    first = net.voter_count
+    while len(x) > 1:
+        # the children of a level's voters are consecutive triples of rows
+        a, b, c = x[0::3], x[1::3], x[2::3]
+        w = len(a)
+        first -= w
+        alarm_counts[first:first + w] = np.count_nonzero((a ^ b) | (a ^ c), axis=1)
+        x = (a & b) | (a & c) | (b & c)
+        if net.voter_fault_rate > 0.0:
+            x = np.where(hit[col:col + w], a, x)
+            col += w
+    return int(np.count_nonzero(x[0])), alarm_counts
 
 
 def run_trials(
     net: HtmrNetwork,
     n: int,
     rng: RandomSource,
-    reference="alternating",
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> tuple[EmpiricalEstimate, FaultStatusCounter]:
@@ -328,7 +302,7 @@ def run_trials(
     ``rng.derive(b)``. Partitioning therefore depends only on ``n`` and
     ``block_size``, never on ``workers``: any worker count yields the
     identical estimate and alarm counter. Errors are trials whose root
-    output differs from the trial's reference bit.
+    output differs from the reference bit.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
@@ -337,32 +311,29 @@ def run_trials(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    ref_for = _resolve_reference(reference, n, block_size)
-    draw_cols = sum(1 for kind in net.leaves if kind.faulty)
-    if net.voter_fault_rate > 0.0:
-        draw_cols += net.voter_count
+    # per-trial draw rates in draw order
+    voter_draws = net.voter_count if net.voter_fault_rate > 0.0 else 0
+    rates = np.array(
+        [kind.rate for kind in net.leaves if kind.faulty]
+        + [net.voter_fault_rate] * voter_draws,
+        dtype=float,
+    )
 
-    blocks = []
-    start = 0
-    index = 0
-    while start < n:
-        stop = min(start + block_size, n)
-        blocks.append((index, start, stop))
-        index += 1
-        start = stop
+    def one_block(lo):
+        m = min(block_size, n - lo)
+        stream = rng.derive(lo // block_size)
+        hit = np.empty((len(rates), m), dtype=bool)
+        for start in range(0, m, _DRAW_ROWS):
+            rows = min(_DRAW_ROWS, m - start)
+            hit[:, start:start + rows] = (stream.uniforms((rows, len(rates))) < rates).T
+        return _simulate_block(net, hit)
 
-    def one_block(block):
-        b, lo, hi = block
-        m = hi - lo
-        stream = rng.derive(b)
-        u = stream.uniforms((m, draw_cols)) if draw_cols else np.empty((m, 0))
-        return _simulate_block(net, ref_for(lo, hi), u)
-
-    if workers == 1 or len(blocks) == 1:
-        results = [one_block(block) for block in blocks]
+    starts = range(0, n, block_size)
+    if workers == 1 or len(starts) == 1:
+        results = [one_block(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_block, blocks))
+            results = list(pool.map(one_block, starts))
 
     total_errors = sum(errors for errors, _ in results)
     counts = np.zeros(net.voter_count, dtype=np.int64)

@@ -123,6 +123,32 @@ class TestSimulate:
             main(["simulate", "--pf", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "scenarios"])
+    def test_trials_accept_float_notation(self, capsys, command):
+        base = (command, "--pf", "0.1", "--orders", "1,2", "--seed", "5")
+        code1, out1, _ = run_cli(capsys, *base, "--trials", "1e3")
+        code2, out2, _ = run_cli(capsys, *base, "--trials", "1000")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert " trials=1000 " in out1.splitlines()[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "scenarios"])
+    @pytest.mark.parametrize("trials", ["1.5", "abc", "inf"])
+    def test_non_integral_trials_are_usage_errors(self, capsys, command, trials):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--pf", "0.1", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [("analytic",), ("simulate", "--trials", "1000"), ("scenarios",)]
+    )
+    def test_repeated_orders_exit_2(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--pf", "0.1", "--orders", "1,1")
+        assert code == 2
+        assert out == ""
+        assert "strictly ascending" in err
+
     def test_single_fault_scenario_masks_everything(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "NNF", "--pf", "0.5",

@@ -56,6 +56,8 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig.single(0.1, orders=(2, 1))
         with pytest.raises(ValueError):
+            SweepConfig.single(0.1, orders=(1, 1))
+        with pytest.raises(ValueError):
             SweepConfig.single(0.1, pfmb="maybe")
         with pytest.raises(ValueError):
             SweepConfig.single(0.1, scenario="XYZ")

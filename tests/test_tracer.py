@@ -1,0 +1,31 @@
+"""The benchmark tracer still runs against the package.
+
+``perfbench/tracer.py`` wraps ``harness.run_trials`` (binding its
+parameters by name) and harness's reliability functions from outside. If
+those names change, every traced benchmark repeat fails its rows; this
+test catches that in the ordinary suite.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from htmr_lab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_run_matches_plain_cli(capsys):
+    argv = ["simulate", "--pf", "0.1", "--order", "2", "--trials", "1000"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--run-id", "t", "--", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout.splitlines()[0])
+    assert payload["code"] == 0
+    assert main(argv) == 0
+    assert payload["doc"] == capsys.readouterr().out
