@@ -29,8 +29,10 @@ voter fault rate voters never draw.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -53,9 +55,10 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
 ]
 
-# Trials per simulation block. Blocks are the unit of parallelism and each
-# draws from its own derived stream, so results never depend on the worker
-# count -- only on (stream key, network, trial count).
+# Trials per simulation block. Blocks are the unit of parallelism: threads
+# claim them by index, each draws from its own derived stream and its result
+# is kept at its index, so results never depend on the worker count -- only
+# on (stream key, network, trial count).
 DEFAULT_BLOCK_SIZE = 1 << 16
 
 # Trials per uniform draw within a block. A block's draws come from its one
@@ -288,6 +291,13 @@ def _simulate_block(net: HtmrNetwork, hit: np.ndarray):
     return int(np.count_nonzero(x[0])), alarm_counts
 
 
+def _processors() -> int:
+    """Processors this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_trials(
     net: HtmrNetwork,
     n: int,
@@ -303,6 +313,12 @@ def run_trials(
     ``block_size``, never on ``workers``: any worker count yields the
     identical estimate and alarm counter. Errors are trials whose root
     output differs from the reference bit.
+
+    The calling thread and up to ``workers - 1`` helper threads, never more
+    threads in all than there are blocks or processors this process may
+    use, claim blocks by index; block results are reduced in block order.
+    If a block raises, the threads stop claiming, every helper is joined
+    and the call raises that error.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
@@ -329,11 +345,27 @@ def run_trials(
         return _simulate_block(net, hit)
 
     starts = range(0, n, block_size)
-    if workers == 1 or len(starts) == 1:
-        results = [one_block(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_block, starts))
+    results = [None] * len(starts)
+    claims = itertools.count()
+    failures = []
+
+    def work():
+        # claim blocks by index until none are left or any thread has failed
+        try:
+            while not failures and (b := next(claims)) < len(starts):
+                results[b] = one_block(starts[b])
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = min(workers, len(starts), _processors())
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
 
     total_errors = sum(errors for errors, _ in results)
     counts = np.zeros(net.voter_count, dtype=np.int64)

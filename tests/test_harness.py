@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from htmr_lab import network
 from htmr_lab.harness import (
     SweepConfig,
     TABLE3_RATES,
@@ -138,10 +139,16 @@ class TestSweepMonteCarlo:
         cfg = SweepConfig(pf_min=0.1, pf_max=0.5, pf_steps=3, orders=(1, 2), trials=5_000, seed=5)
         assert sweep_monte_carlo(cfg) == sweep_monte_carlo(cfg)
 
-    def test_worker_count_is_invisible_in_results(self):
-        base = SweepConfig.single(0.2, orders=(0, 2), trials=140_000, seed=11)
-        parallel = SweepConfig.single(0.2, orders=(0, 2), trials=140_000, seed=11, workers=4)
-        assert sweep_monte_carlo(base) == sweep_monte_carlo(parallel)
+    def test_worker_count_is_invisible_in_results(self, monkeypatch):
+        # 140,000 trials are three blocks per unit; pretend to have three
+        # processors so every worker count really runs that many threads
+        monkeypatch.setattr(network, "_processors", lambda: 3)
+        runs = [
+            sweep_monte_carlo(SweepConfig(pf_min=0.1, pf_max=0.3, pf_steps=3, orders=(0, 1, 2),
+                                          pfmb="pf", trials=140_000, seed=11, workers=workers))
+            for workers in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestScenarioSuite:
@@ -158,6 +165,15 @@ class TestScenarioSuite:
         assert fff[1].pe == pytest.approx(pe_first(0.2), abs=1e-15)
         assert fff[2].pe == pytest.approx(pe_order(2, 0.2), abs=1e-15)
         assert all(r.pe == 0.0 for r in suite["NNF"])
+
+    def test_worker_count_is_invisible_in_results(self, monkeypatch):
+        monkeypatch.setattr(network, "_processors", lambda: 3)
+        runs = [
+            scenario_suite(SweepConfig(pf_min=0.1, pf_max=0.3, pf_steps=3, orders=(1, 2),
+                                       trials=140_000, seed=11, workers=workers))
+            for workers in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_single_fault_scenario_never_errs(self):
         suite = scenario_suite(SweepConfig.single(0.5, orders=(1, 2), trials=50_000))

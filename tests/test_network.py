@@ -7,9 +7,13 @@ module model itself.
 """
 
 import math
+import sys
+import threading
+import time
 
 import pytest
 
+from htmr_lab import network
 from htmr_lab.faults import FAULT_FREE, RandomSource, faulty_module, make_scenario
 from htmr_lab.network import (
     _DRAW_ROWS,
@@ -198,6 +202,88 @@ class TestRunTrialsDeterminism:
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):
             run_trials(build_network(1, 0.1), 0, RandomSource(0))
+
+
+class TestFanOut:
+    """The calling thread and its helpers claim blocks; processors cap them."""
+
+    def record_threads(self, monkeypatch, processors):
+        """Pretend to have ``processors``; log each block's thread and each start."""
+        monkeypatch.setattr(network, "_processors", lambda: processors)
+        simulate_block = network._simulate_block
+        block_threads = []
+
+        def slow_block(net, hit):
+            block_threads.append(threading.get_ident())
+            time.sleep(0.02)  # long enough for every started thread to claim a block
+            return simulate_block(net, hit)
+
+        monkeypatch.setattr(network, "_simulate_block", slow_block)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        return block_threads, started
+
+    def test_threads_are_capped_at_the_processor_count(self, monkeypatch):
+        net = build_network(1, 0.3)
+        baseline = run_trials(net, 8 * 256, RandomSource(3), block_size=256)
+        block_threads, started = self.record_threads(monkeypatch, processors=2)
+        result = run_trials(net, 8 * 256, RandomSource(3), workers=8, block_size=256)
+        assert result == baseline
+        assert len(started) == 1
+        assert len(block_threads) == 8
+        assert set(block_threads) == {threading.get_ident(), started[0].ident}
+
+    def test_one_processor_runs_every_block_on_the_caller(self, monkeypatch):
+        block_threads, started = self.record_threads(monkeypatch, processors=1)
+        run_trials(build_network(1, 0.3), 4 * 256, RandomSource(3), workers=4, block_size=256)
+        assert started == []
+        assert block_threads == [threading.get_ident()] * 4
+
+    def test_threads_are_capped_at_the_block_count(self, monkeypatch):
+        block_threads, started = self.record_threads(monkeypatch, processors=8)
+        run_trials(build_network(1, 0.3), 2 * 256, RandomSource(3), workers=6, block_size=256)
+        assert len(started) == 1
+        assert len(block_threads) == 2
+
+    def test_every_block_is_claimed_once_under_frequent_switches(self, monkeypatch):
+        # more threads than this box may have processors, switching as often
+        # as the interpreter allows: a block lost or run twice changes counts
+        net = build_network(2, 0.2, voter_fault_rate=0.1)
+        baseline = run_trials(net, 300 * 64, RandomSource(5), block_size=64)
+        monkeypatch.setattr(network, "_processors", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_trials(net, 300 * 64, RandomSource(5), workers=4, block_size=64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result == baseline
+
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_a_failing_block_fails_the_call_cleanly(self, monkeypatch, raiser):
+        monkeypatch.setattr(network, "_processors", lambda: 2)
+        simulate_block = network._simulate_block
+        caller = threading.current_thread()
+        raised = threading.Event()
+
+        def failing_block(net, hit):
+            if (threading.current_thread() is caller) == (raiser == "caller"):
+                raised.set()
+                raise RuntimeError("block failed")
+            raised.wait(10)  # make sure the raising thread claims a block too
+            return simulate_block(net, hit)
+
+        monkeypatch.setattr(network, "_simulate_block", failing_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_trials(build_network(1, 0.3), 8 * 256, RandomSource(3), workers=2, block_size=256)
+        assert threading.active_count() == before
 
 
 class TestMasking:
