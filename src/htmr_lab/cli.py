@@ -15,8 +15,13 @@ stdout). Output is deterministic byte for byte given the same flags: CSV
 starts with ``# htmr-lab v<version> seed=<seed> semantics=voter-passthrough``
 followed by a config echo, probabilities print with 12 significant digits,
 infinity prints as ``inf``, and absent values are empty cells (CSV) or
-null (JSON). Exit codes: 0 success, 2 usage/validation error (including an
-``--out`` path that cannot be written), 1 internal error.
+null (JSON); sweep headers echo the orders as they ran (``orders=1,2``).
+
+argparse parses every flag once, so a malformed flag, or ``--order`` given
+with ``--orders``, is a usage error; the library rejects values that break
+a model rule (a rate outside [0, 1], a trial count outside 1..2**63 - 1).
+Exit codes: 0 success, 2 usage/validation error (including an ``--out``
+path that cannot be written), 1 internal error.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import decimal
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import __version__
+from .faults import SCENARIO_PATTERNS
 from .harness import (
     ComparisonRow,
     SweepConfig,
@@ -44,10 +50,7 @@ __all__ = ["main", "run", "OutputDocument", "render_csv", "render_json"]
 
 VOTER_SEMANTICS = "voter-passthrough"
 
-SWEEP_COLUMNS = (
-    "pf", "order", "pe", "pem", "re", "rem", "re_per_module",
-    "pe_hat", "std_err", "trials",
-)
+SWEEP_COLUMNS = tuple(field.name for field in fields(ComparisonRow))
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,9 @@ def _meta(args, command: str, **extra) -> dict:
 
 def _parse_orders(text: str) -> tuple[int, ...]:
     try:
-        orders = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"--orders expects comma-separated integers, got {text!r}")
-    return orders
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
 
 
 def _parse_trials(text: str) -> int:
@@ -142,7 +144,7 @@ def _parse_pfmb(text: str):
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"--pfmb expects 'pf' or a probability, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects 'pf' or a probability, got {text!r}")
 
 
 def _grid_from_args(args) -> tuple[float, float, int, str]:
@@ -175,23 +177,20 @@ def _sweep_config(args, orders: tuple[int, ...], trials: int, scenario=None) -> 
     )
 
 
-def _grid_echo(cfg: SweepConfig) -> dict:
+def _sweep_echo(cfg: SweepConfig) -> dict:
+    """Grid and orders of a sweep, as they ran."""
     if cfg.pf_steps == 1:
-        return {"pf": cfg.pf_min}
-    return {
-        "pf_min": cfg.pf_min, "pf_max": cfg.pf_max,
-        "pf_steps": cfg.pf_steps, "pf_scale": cfg.pf_scale,
-    }
+        grid = {"pf": cfg.pf_min}
+    else:
+        grid = {
+            "pf_min": cfg.pf_min, "pf_max": cfg.pf_max,
+            "pf_steps": cfg.pf_steps, "pf_scale": cfg.pf_scale,
+        }
+    return grid | {"orders": ",".join(map(str, cfg.orders))}
 
 
 def _sweep_rows(rows: list[ComparisonRow]) -> list[tuple]:
-    return [
-        (
-            row.pf, row.order, row.pe, row.pem, row.re, row.rem,
-            row.re_per_module, row.pe_hat, row.std_err, row.trials,
-        )
-        for row in rows
-    ]
+    return [astuple(row) for row in rows]
 
 
 def cmd_truth_table(args) -> OutputDocument:
@@ -207,26 +206,14 @@ def cmd_truth_table(args) -> OutputDocument:
 
 
 def cmd_analytic(args) -> OutputDocument:
-    orders = _parse_orders(args.orders)
-    cfg = _sweep_config(args, orders, trials=0)
+    cfg = _sweep_config(args, args.orders, trials=0)
     rows = sweep_analytic(cfg)
-    meta = _meta(
-        args, "analytic", **_grid_echo(cfg), orders=args.orders, pfmb=args.pfmb
-    )
+    meta = _meta(args, "analytic", **_sweep_echo(cfg), pfmb=cfg.pfmb)
     return OutputDocument(meta=meta, columns=SWEEP_COLUMNS, rows=_sweep_rows(rows))
 
 
 def cmd_simulate(args) -> OutputDocument:
-    if args.order is not None and args.orders is not None:
-        raise ValueError("give either --order or --orders, not both")
-    if args.order is not None:
-        orders = (args.order,)
-    elif args.orders is not None:
-        orders = _parse_orders(args.orders)
-    else:
-        orders = (1,)
-    if args.trials < 1:
-        raise ValueError("an empirical run requires --trials >= 1")
+    orders = args.orders if args.order is None else (args.order,)
     cfg = _sweep_config(args, orders, trials=args.trials, scenario=args.scenario)
     rows = sweep_monte_carlo(cfg)
     # workers deliberately left out of the echo: results are contractually
@@ -234,8 +221,7 @@ def cmd_simulate(args) -> OutputDocument:
     meta = _meta(
         args,
         "simulate",
-        **_grid_echo(cfg),
-        orders=",".join(str(j) for j in orders),
+        **_sweep_echo(cfg),
         pfmb=cfg.pfmb,
         trials=cfg.trials,
         streams="derive(point,order,block)@2",
@@ -246,8 +232,7 @@ def cmd_simulate(args) -> OutputDocument:
 
 
 def cmd_scenarios(args) -> OutputDocument:
-    orders = _parse_orders(args.orders)
-    cfg = _sweep_config(args, orders, trials=args.trials)
+    cfg = _sweep_config(args, args.orders, trials=args.trials)
     suite = scenario_suite(cfg)
     rows = []
     for pattern, sub_rows in suite.items():
@@ -256,8 +241,7 @@ def cmd_scenarios(args) -> OutputDocument:
     meta = _meta(
         args,
         "scenarios",
-        **_grid_echo(cfg),
-        orders=args.orders,
+        **_sweep_echo(cfg),
         trials=cfg.trials,
         streams="derive(scenario,point,order,block)",
     )
@@ -335,26 +319,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="closed-form sweep over a rate grid")
     _add_grid(p)
-    p.add_argument("--orders", default="0,1,2")
+    p.add_argument("--orders", type=_parse_orders, default=(0, 1, 2))
     p.add_argument("--pfmb", type=_parse_pfmb, default=0.0)
     _add_common(p)
     p.set_defaults(handler=cmd_analytic)
 
     p = sub.add_parser("simulate", help="seeded Monte-Carlo sweep")
     _add_grid(p)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--orders", default=None)
+    orders = p.add_mutually_exclusive_group()
+    orders.add_argument("--order", type=int, default=None)
+    orders.add_argument("--orders", type=_parse_orders, default=(1,))
     p.add_argument("--pfmb", type=_parse_pfmb, default=0.0)
     p.add_argument("--trials", type=_parse_trials, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", choices=("NNF", "NFF", "FFF"), default=None)
+    p.add_argument("--scenario", choices=SCENARIO_PATTERNS, default=None)
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("scenarios", help="NNF/NFF/FFF faulty-module studies")
     _add_grid(p)
-    p.add_argument("--orders", default="1,2")
+    p.add_argument("--orders", type=_parse_orders, default=(1, 2))
     p.add_argument("--trials", type=_parse_trials, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

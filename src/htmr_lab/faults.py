@@ -19,7 +19,10 @@ from typing import Tuple
 
 import numpy as np
 
+from .voting import check_bit
+
 __all__ = [
+    "check_probability",
     "ModuleKind",
     "FAULT_FREE",
     "faulty_module",
@@ -33,6 +36,14 @@ __all__ = [
 ]
 
 
+def check_probability(name: str, value: float) -> float:
+    """Validate that ``value`` is a probability; returns it as a float."""
+    p = float(value)
+    if math.isnan(p) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class ModuleKind:
     """A redundant module: fault-free, or erring at a fixed per-operation rate."""
@@ -41,9 +52,7 @@ class ModuleKind:
     rate: float = 0.0
 
     def __post_init__(self) -> None:
-        rate = float(self.rate)
-        if math.isnan(rate) or not 0.0 <= rate <= 1.0:
-            raise ValueError(f"module error rate must lie in [0, 1], got {self.rate!r}")
+        rate = check_probability("module error rate", self.rate)
         if not self.faulty and rate != 0.0:
             raise ValueError("a fault-free module cannot carry a nonzero error rate")
         object.__setattr__(self, "rate", rate)
@@ -128,12 +137,9 @@ def ber_corrupt(bit: int, rate: float, rng: RandomSource) -> int:
 
     Consumes exactly one draw from ``rng`` regardless of the outcome.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    rate = float(rate)
-    if math.isnan(rate) or not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must lie in [0, 1], got {rate!r}")
-    return int(bit) ^ int(rng.uniform() < rate)
+    bit = check_bit("bit", bit)
+    rate = check_probability("rate", rate)
+    return bit ^ int(rng.uniform() < rate)
 
 
 def module_output(kind: ModuleKind, reference_bit: int, rng: RandomSource) -> int:
@@ -144,7 +150,5 @@ def module_output(kind: ModuleKind, reference_bit: int, rng: RandomSource) -> in
     reproducible regardless of how many modules in a set are faulty.
     """
     if not kind.faulty:
-        if reference_bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {reference_bit!r}")
-        return int(reference_bit)
+        return check_bit("reference_bit", reference_bit)
     return ber_corrupt(reference_bit, kind.rate, rng)

@@ -21,11 +21,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .faults import SCENARIO_PATTERNS, RandomSource, make_scenario
+from .faults import SCENARIO_PATTERNS, RandomSource, check_probability, make_scenario
 from .network import build_network, run_trials, tile_scenario
 from .reliability import (
     check_order,
-    check_probability,
     operations_per_error,
     pe_first,
     pe_order,
@@ -229,7 +228,7 @@ def sweep_monte_carlo(cfg: SweepConfig) -> list[ComparisonRow]:
     ``scenario_suite``.
     """
     if cfg.trials < 1:
-        raise ValueError("sweep_monte_carlo needs trials >= 1; use sweep_analytic for 0")
+        raise ValueError("an empirical sweep needs trials >= 1")
     return _empirical_rows(cfg, RandomSource(cfg.seed))
 
 

@@ -38,9 +38,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faults import ModuleKind, RandomSource, Scenario, module_output
-from .reliability import check_order, check_probability
-from .voting import alarm_signal, majority_vote
+from .faults import ModuleKind, RandomSource, Scenario, check_probability, module_output
+from .reliability import check_order
+from .voting import alarm_signal, check_bit, majority_vote
 
 __all__ = [
     "HtmrNetwork",
@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 # Trials per simulation block. Blocks are the unit of parallelism: threads
-# claim them by index, each draws from its own derived stream and its result
-# is kept at its index, so results never depend on the worker count -- only
-# on (stream key, network, trial count).
+# claim them by index and each draws from its own derived stream, so results
+# never depend on the worker count -- only on (stream key, network, trial
+# count).
 DEFAULT_BLOCK_SIZE = 1 << 16
 
 # Trials per uniform draw within a block. A block's draws come from its one
@@ -170,8 +170,7 @@ def simulate_bit(
     above; this scalar walk is the reference semantics that the vectorized
     ``run_trials`` is held to.
     """
-    if reference_bit not in (0, 1):
-        raise ValueError(f"reference_bit must be 0 or 1, got {reference_bit!r}")
+    reference_bit = check_bit("reference_bit", reference_bit)
     n_voters = net.voter_count
     values: list[int] = [0] * (n_voters + net.leaf_count)
     for k, kind in enumerate(net.leaves):
@@ -312,16 +311,19 @@ def run_trials(
     ``rng.derive(b)``. Partitioning therefore depends only on ``n`` and
     ``block_size``, never on ``workers``: any worker count yields the
     identical estimate and alarm counter. Errors are trials whose root
-    output differs from the reference bit.
+    output differs from the reference bit. ``n`` lies in 1..2**63 - 1,
+    the range of the int64 alarm counters.
 
     The calling thread and up to ``workers - 1`` helper threads, never more
     threads in all than there are blocks or processors this process may
-    use, claim blocks by index; block results are reduced in block order.
+    use, claim blocks by index. Each thread keeps integer running sums of
+    its blocks' errors and alarm counts, which are exact in any order, and
+    the call adds them up at the end, so memory does not grow with ``n``.
     If a block raises, the threads stop claiming, every helper is joined
     and the call raises that error.
     """
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
+    if not 1 <= n < 1 << 63:
+        raise ValueError(f"trial count must lie in 1..2**63 - 1, got {n}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     if workers < 1:
@@ -335,29 +337,33 @@ def run_trials(
         dtype=float,
     )
 
-    def one_block(lo):
-        m = min(block_size, n - lo)
-        stream = rng.derive(lo // block_size)
+    def one_block(b):
+        m = min(block_size, n - b * block_size)
+        stream = rng.derive(b)
         hit = np.empty((len(rates), m), dtype=bool)
         for start in range(0, m, _DRAW_ROWS):
             rows = min(_DRAW_ROWS, m - start)
             hit[:, start:start + rows] = (stream.uniforms((rows, len(rates))) < rates).T
         return _simulate_block(net, hit)
 
-    starts = range(0, n, block_size)
-    results = [None] * len(starts)
+    blocks = (n - 1) // block_size + 1
     claims = itertools.count()
     failures = []
+    sums = []
 
     def work():
         # claim blocks by index until none are left or any thread has failed
+        errors, counts = 0, np.zeros(net.voter_count, dtype=np.int64)
         try:
-            while not failures and (b := next(claims)) < len(starts):
-                results[b] = one_block(starts[b])
+            while not failures and (b := next(claims)) < blocks:
+                block_errors, alarm_counts = one_block(b)
+                errors += block_errors
+                counts += alarm_counts
         except BaseException as exc:
             failures.append(exc)
+        sums.append((errors, counts))
 
-    threads = min(workers, len(starts), _processors())
+    threads = min(workers, blocks, _processors())
     helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
@@ -367,10 +373,8 @@ def run_trials(
     if failures:
         raise failures[0]
 
-    total_errors = sum(errors for errors, _ in results)
-    counts = np.zeros(net.voter_count, dtype=np.int64)
-    for _, alarm_counts in results:
-        counts += alarm_counts
-    estimate = EmpiricalEstimate(trials=n, errors=total_errors)
-    counter = FaultStatusCounter(alarm_counts=tuple(int(c) for c in counts), trials=n)
+    errors = sum(errors for errors, _ in sums)
+    alarm_counts = tuple(int(c) for c in sum(counts for _, counts in sums))
+    estimate = EmpiricalEstimate(trials=n, errors=errors)
+    counter = FaultStatusCounter(alarm_counts=alarm_counts, trials=n)
     return estimate, counter

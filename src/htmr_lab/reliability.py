@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .faults import Scenario, make_scenario, scenario_pattern
+from .faults import Scenario, check_probability, make_scenario, scenario_pattern
 
 __all__ = [
     "MAX_ORDER",
-    "check_probability",
     "check_order",
     "complement",
     "pe_first",
@@ -48,14 +47,6 @@ __all__ = [
 # Bound on nesting depth; deeper requests are almost certainly mistakes
 # and would silently underflow to 0.0 anyway.
 MAX_ORDER = 16
-
-
-def check_probability(name: str, value: float) -> float:
-    """Validate that ``value`` is a probability; returns it as a float."""
-    p = float(value)
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return p
 
 
 def check_order(name: str, j: int) -> int:

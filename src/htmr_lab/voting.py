@@ -1,7 +1,8 @@
 """Bit-exact majority voting, disagreement alarm, and TMR flip-flop semantics.
 
-All signals are plain ints restricted to {0, 1}. The voter returns the bit
-held by at least two of its three inputs; the alarm flags any disagreement
+All signals are ints restricted to {0, 1}, checked by ``check_bit`` in
+every bit-taking entry of the package. The voter returns the bit held by
+at least two of its three inputs; the alarm flags any disagreement
 among them, so it is 0 exactly when the three inputs are unanimous. Logic
 is evaluated as boolean algebra on {0, 1} integers (ideal combinational
 logic, no gate delays), and clocking is a discrete step: one
@@ -10,6 +11,7 @@ logic, no gate delays), and clocking is a discrete step: one
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence, Union
@@ -18,6 +20,7 @@ __all__ = [
     "TripleInput",
     "VoteOutcome",
     "TmrRegister",
+    "check_bit",
     "majority_vote",
     "alarm_signal",
     "vote_with_alarm",
@@ -26,10 +29,13 @@ __all__ = [
 ]
 
 
-def _check_bit(name: str, value: int) -> int:
-    if value is True or value is False or value not in (0, 1):
+def check_bit(name: str, value: int) -> int:
+    """Validate a bit: the integer 0 or 1, a Python or numpy int but not a
+    bool, float, string or None; returns it as an int."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value not in (0, 1):
         raise ValueError(f"{name} must be the integer 0 or 1, got {value!r}")
-    return value
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -41,9 +47,9 @@ class TripleInput:
     y3: int
 
     def __post_init__(self) -> None:
-        _check_bit("y1", self.y1)
-        _check_bit("y2", self.y2)
-        _check_bit("y3", self.y3)
+        check_bit("y1", self.y1)
+        check_bit("y2", self.y2)
+        check_bit("y3", self.y3)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.y1, self.y2, self.y3)
@@ -69,7 +75,7 @@ class TmrRegister:
     loaded: bool = False
 
     def __post_init__(self) -> None:
-        _check_bit("stored", self.stored)
+        check_bit("stored", self.stored)
 
 
 Bits = Union[TripleInput, Sequence[int]]

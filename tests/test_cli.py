@@ -160,11 +160,20 @@ class TestSimulate:
         assert cells[SWEEP_HEADER.split(",").index("pe_hat")] == "0"
 
     def test_order_and_orders_conflict(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--pf", "0.1", "--trials", "10",
-            "--order", "1", "--orders", "1,2",
-        )
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--pf", "0.1", "--trials", "10",
+                "--order", "1", "--orders", "1,2",
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with argument --order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "scenarios"])
+    def test_trials_beyond_the_int64_counters_exit_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--pf", "0.1", "--trials", "1e30")
         assert code == 2
+        assert out == ""
+        assert "trial count must lie in 1..2**63 - 1" in err
 
     def test_empirical_cells_filled(self, capsys):
         code, out, _ = run_cli(
@@ -175,6 +184,45 @@ class TestSimulate:
         cells = rows[0].split(",")
         assert cells[-1] == "1000"
         assert cells[-2] != "" and cells[-3] != ""
+
+
+class TestFlagParsing:
+    @pytest.mark.parametrize("argv,reason", [
+        (("simulate", "--trials", "10", "--pfmb", "x"),
+         "argument --pfmb: expects 'pf' or a probability, got 'x'"),
+        (("analytic", "--pfmb", "x"), "argument --pfmb: expects 'pf' or a probability"),
+        (("analytic", "--orders", "1,x"),
+         "argument --orders: expects comma-separated integers, got '1,x'"),
+        (("simulate", "--trials", "10", "--orders", "1,x"), "argument --orders:"),
+        (("scenarios", "--orders", ""), "argument --orders:"),
+        (("simulate", "--trials", "10", "--scenario", "NNN"), "argument --scenario:"),
+    ])
+    def test_malformed_flags_are_usage_errors(self, capsys, argv, reason):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--pf", "0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # a reason, not argparse's "invalid _parse_pfmb value" fallback
+        assert reason in err and "_parse" not in err
+
+    @pytest.mark.parametrize("command", [
+        ("analytic",), ("simulate", "--trials", "100"), ("scenarios",),
+    ])
+    def test_header_echoes_the_orders_that_ran(self, capsys, command):
+        code, odd, _ = run_cli(capsys, *command, "--pf", "0.1", "--orders", " 1,02")
+        _, canonical, _ = run_cli(capsys, *command, "--pf", "0.1", "--orders", "1,2")
+        assert code == 0
+        assert " orders=1,2 " in odd.splitlines()[0]
+        assert odd == canonical
+
+    @pytest.mark.parametrize("command,orders", [
+        (("analytic",), "0,1,2"), (("simulate", "--trials", "100"), "1"),
+        (("scenarios",), "1,2"),
+    ])
+    def test_default_orders_echo(self, capsys, command, orders):
+        code, out, _ = run_cli(capsys, *command, "--pf", "0.1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["orders"] == orders
 
 
 class TestScenarios:

@@ -10,6 +10,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -202,6 +203,31 @@ class TestRunTrialsDeterminism:
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):
             run_trials(build_network(1, 0.1), 0, RandomSource(0))
+
+    @pytest.mark.parametrize("n", [0, -1, 2**63, 10**30])
+    def test_trial_count_must_fit_the_int64_counters(self, n):
+        with pytest.raises(ValueError, match=r"1\.\.2\*\*63 - 1"):
+            run_trials(build_network(1, 0.1), n, RandomSource(0))
+
+    def test_largest_trial_count_is_accepted(self, monkeypatch):
+        # runs no trial: the first block to reach the kernel stops the call
+        def stop(net, hit):
+            raise RuntimeError(f"block of {hit.shape[1]} trials")
+
+        monkeypatch.setattr(network, "_simulate_block", stop)
+        with pytest.raises(RuntimeError, match="block of 65536 trials"):
+            run_trials(build_network(1, 0.1), 2**63 - 1, RandomSource(0))
+
+    def test_memory_does_not_grow_with_the_block_count(self):
+        net = build_network(1, 0.1)
+        peaks = []
+        for blocks in (100, 2000, 100, 2000):  # the first pair warms caches up
+            tracemalloc.start()
+            run_trials(net, blocks, RandomSource(4), block_size=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # one kept result per block would add about 150 bytes a block
+        assert peaks[3] - peaks[2] < 50_000
 
 
 class TestFanOut:

@@ -1,0 +1,116 @@
+"""One validator per input concept: every entry taking a bit or a probability
+rejects the same bad values, before it draws anything."""
+
+import math
+
+import numpy as np
+import pytest
+
+from htmr_lab.faults import (
+    FAULT_FREE,
+    ModuleKind,
+    RandomSource,
+    ber_corrupt,
+    check_probability,
+    faulty_module,
+    make_scenario,
+    module_output,
+)
+from htmr_lab.harness import SweepConfig, reduction_claims_check
+from htmr_lab.network import FaultStatusCounter, build_network, health_report, simulate_bit
+from htmr_lab.reliability import (
+    complement,
+    expansion_audit,
+    operations_per_error,
+    pe_first,
+    pe_order,
+    pem_first,
+    pem_order,
+    proposition_check,
+    reduction_rate,
+    scenario_error_probability,
+)
+from htmr_lab.voting import (
+    TmrRegister,
+    TripleInput,
+    alarm_signal,
+    check_bit,
+    flipflop_step,
+    majority_vote,
+    vote_with_alarm,
+)
+
+BIT_ENTRIES = {
+    "check_bit": lambda v, rng: check_bit("bit", v),
+    "TripleInput": lambda v, rng: TripleInput(1, v, 0),
+    "TmrRegister": lambda v, rng: TmrRegister(stored=v),
+    "majority_vote": lambda v, rng: majority_vote((v, 0, 1)),
+    "alarm_signal": lambda v, rng: alarm_signal((1, v, 0)),
+    "vote_with_alarm": lambda v, rng: vote_with_alarm((0, 1, v)),
+    "flipflop_step": lambda v, rng: flipflop_step(TmrRegister(), (v, 1, 1)),
+    "ber_corrupt": lambda v, rng: ber_corrupt(v, 0.5, rng),
+    "module_output/fault-free": lambda v, rng: module_output(FAULT_FREE, v, rng),
+    "module_output/faulty": lambda v, rng: module_output(faulty_module(0.5), v, rng),
+    "simulate_bit": lambda v, rng: simulate_bit(build_network(1, 0.5, 0.5), v, rng),
+}
+
+PROBABILITY_ENTRIES = {
+    "check_probability": lambda p, rng: check_probability("p", p),
+    "ModuleKind": lambda p, rng: ModuleKind(faulty=True, rate=p),
+    "faulty_module": lambda p, rng: faulty_module(p),
+    "make_scenario": lambda p, rng: make_scenario("NFF", p),
+    "ber_corrupt": lambda p, rng: ber_corrupt(0, p, rng),
+    "complement": lambda p, rng: complement(p),
+    "pe_first": lambda p, rng: pe_first(p),
+    "pem_first/pf": lambda p, rng: pem_first(p, 0.1),
+    "pem_first/pfmb": lambda p, rng: pem_first(0.1, p),
+    "pe_order": lambda p, rng: pe_order(2, p),
+    "pem_order/pf": lambda p, rng: pem_order(2, p, 0.1),
+    "pem_order/pfmb": lambda p, rng: pem_order(2, 0.1, p),
+    "reduction_rate/pf": lambda p, rng: reduction_rate(p, 0.01),
+    "reduction_rate/pe": lambda p, rng: reduction_rate(0.1, p),
+    "operations_per_error": lambda p, rng: operations_per_error(p),
+    "scenario_error_probability": lambda p, rng: scenario_error_probability("FFF", p),
+    "proposition_check": lambda p, rng: proposition_check(p, 3),
+    "expansion_audit": lambda p, rng: expansion_audit([0.1, p]),
+    "reduction_claims_check": lambda p, rng: reduction_claims_check(p),
+    "build_network/leaves": lambda p, rng: build_network(1, p),
+    "build_network/voters": lambda p, rng: build_network(1, 0.1, voter_fault_rate=p),
+    "health_report": lambda p, rng: health_report(FaultStatusCounter((1,), 10), p),
+    "SweepConfig/pf": lambda p, rng: SweepConfig.single(p),
+    "SweepConfig/pf_max": lambda p, rng: SweepConfig(pf_min=0.1, pf_max=p, pf_steps=3),
+    "SweepConfig/pfmb": lambda p, rng: SweepConfig.single(0.1, pfmb=p),
+}
+
+
+def assert_untouched(rng):
+    assert rng.uniform() == RandomSource(0).uniform()
+
+
+@pytest.mark.parametrize("entry", sorted(BIT_ENTRIES))
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, 2, -1, "1", None])
+def test_every_bit_entry_rejects_non_bits(entry, bad):
+    rng = RandomSource(0)
+    with pytest.raises(ValueError, match="must be the integer 0 or 1"):
+        BIT_ENTRIES[entry](bad, rng)
+    assert_untouched(rng)
+
+
+@pytest.mark.parametrize("entry", sorted(PROBABILITY_ENTRIES))
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf])
+def test_every_probability_entry_rejects_non_probabilities(entry, bad):
+    rng = RandomSource(0)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        PROBABILITY_ENTRIES[entry](bad, rng)
+    assert_untouched(rng)
+
+
+@pytest.mark.parametrize("one", [1, np.int64(1), np.uint8(1)])
+def test_numpy_integers_are_bits(one):
+    assert check_bit("bit", one) == 1 and type(check_bit("bit", one)) is int
+    assert TripleInput(one, 0, one).as_tuple() == (1, 0, 1)
+    assert majority_vote(np.array([one, 0, one])) == 1
+    assert ber_corrupt(one, 0.0, RandomSource(0)) == 1
+    assert module_output(FAULT_FREE, one, RandomSource(0)) == 1
+    out, _ = simulate_bit(build_network(1, 0.0), one, RandomSource(0))
+    assert out == 1
