@@ -19,7 +19,6 @@ from .faults import (
     faulty_module,
     make_scenario,
     module_output,
-    scenario_pattern,
 )
 from .harness import (
     ComparisonRow,
@@ -57,7 +56,6 @@ from .reliability import (
     ExpansionSample,
     MAX_ORDER,
     PropositionReport,
-    complement,
     evaluate_power_series,
     expansion_audit,
     operations_per_error,
@@ -68,6 +66,7 @@ from .reliability import (
     proposition_check,
     reduction_rate,
     scenario_error_probability,
+    tree_error_probability,
 )
 from .voting import (
     TmrRegister,

@@ -19,7 +19,8 @@ null (JSON); sweep headers echo the orders as they ran (``orders=1,2``).
 
 argparse parses every flag once, so a malformed flag, or ``--order`` given
 with ``--orders``, is a usage error; the library rejects values that break
-a model rule (a rate outside [0, 1], a trial count outside 1..2**63 - 1).
+a model rule (a rate outside [0, 1], a trial count outside 1..2**63 - 1,
+a negative seed).
 Exit codes: 0 success, 2 usage/validation error (including an ``--out``
 path that cannot be written), 1 internal error.
 """

@@ -29,7 +29,6 @@ __all__ = [
     "Scenario",
     "SCENARIO_PATTERNS",
     "make_scenario",
-    "scenario_pattern",
     "RandomSource",
     "ber_corrupt",
     "module_output",
@@ -82,13 +81,6 @@ def make_scenario(pattern: str, rate: float) -> Scenario:
     return tuple(faulty_module(rate) if c == "F" else FAULT_FREE for c in pattern)
 
 
-def scenario_pattern(scenario: Scenario) -> str:
-    """Inverse of ``make_scenario``: the "NNF"-style pattern of a triple."""
-    if len(scenario) != 3:
-        raise ValueError("a scenario holds exactly three modules")
-    return "".join("F" if kind.faulty else "N" for kind in scenario)
-
-
 class RandomSource:
     """Deterministic uniform-[0,1) stream with reproducible sub-streams.
 
@@ -104,6 +96,8 @@ class RandomSource:
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self._seed = int(seed)
+        if self._seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._path = tuple(int(i) for i in path)
         sequence = np.random.SeedSequence(self._seed, spawn_key=self._path)
         self._gen = np.random.Generator(np.random.PCG64(sequence))

@@ -26,12 +26,14 @@ from .network import build_network, run_trials, tile_scenario
 from .reliability import (
     check_order,
     operations_per_error,
-    pe_first,
     pe_order,
     pem_order,
     reduction_rate,
-    scenario_error_probability,
+    tree_error_probability,
 )
+# perfbench/tracer.py wraps these two by name in this module; they stay
+# bound here until the benchmark stops looking them up.
+from .reliability import pe_first, scenario_error_probability  # noqa: F401
 
 __all__ = [
     "SweepConfig",
@@ -75,15 +77,17 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        check_probability("pf_min", self.pf_min)
-        check_probability("pf_max", self.pf_max)
         if self.pf_steps < 1:
             raise ValueError(f"pf_steps must be >= 1, got {self.pf_steps}")
         if self.pf_steps == 1:
+            check_probability("pf", self.pf_min)
             if self.pf_min != self.pf_max:
                 raise ValueError("a single-point grid needs pf_min == pf_max")
-        elif not self.pf_min < self.pf_max:
-            raise ValueError("grid needs pf_min < pf_max")
+        else:
+            check_probability("pf_min", self.pf_min)
+            check_probability("pf_max", self.pf_max)
+            if not self.pf_min < self.pf_max:
+                raise ValueError("grid needs pf_min < pf_max")
         if self.pf_scale not in ("lin", "log"):
             raise ValueError(f"pf_scale must be 'lin' or 'log', got {self.pf_scale!r}")
         if self.pf_scale == "log" and self.pf_min <= 0.0:
@@ -157,23 +161,10 @@ class ComparisonRow:
     trials: Optional[int] = None
 
 
-def _scenario_pe(pattern: str, pf: float, order: int) -> float:
-    """Closed-form error probability of a scenario tiled over an order-j tree.
-
-    The bottom voters each see the scenario triple and err with the
-    one-level scenario probability; every level above sees three
-    independent identically-behaving subtrees, composing the two-of-three
-    polynomial once per extra level.
-    """
-    q = scenario_error_probability(pattern, pf)
-    for _ in range(order - 1):
-        q = pe_first(q)
-    return q
-
-
 def _analytic_row(cfg: SweepConfig, pf: float, order: int) -> ComparisonRow:
     if cfg.scenario is not None:
-        pe = pem = _scenario_pe(cfg.scenario, pf, order)
+        rates = [kind.rate for kind in make_scenario(cfg.scenario, pf)]
+        pe = pem = tree_error_probability(rates, order)
     else:
         pe = pe_order(order, pf)
         pem = pem_order(order, pf, cfg.pfmb_at(pf))

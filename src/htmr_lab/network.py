@@ -2,10 +2,10 @@
 
 A network of order ``j`` is a complete ternary tree: 3**j leaf modules at
 the bottom, (3**j - 1) / 2 voters above them, every voter taking exactly
-three children. Voters are indexed breadth-first from the root (root = 0);
-leaf ``k`` sits at tree node ``voter_count + k``, so the children of voter
-``v`` are nodes ``3v+1``, ``3v+2``, ``3v+3``. Order 0 is the bare module:
-one leaf, no voters, and the leaf is the root.
+three children. Each level's voters take consecutive triples of the level
+below, left to right, and voters are indexed breadth-first from the root
+(root = 0). Order 0 is the bare module: one leaf, no voters, and the leaf
+is the root.
 
 Every voter shares the same fault rate: with that probability its data
 path fails and it passes its first child through un-voted, otherwise it
@@ -96,30 +96,6 @@ class HtmrNetwork:
     def voter_count(self) -> int:
         return (3 ** self.order - 1) // 2
 
-    def voter_levels(self) -> list[list[int]]:
-        """Voter indices per tree level, root level first."""
-        levels = []
-        start = 0
-        for depth in range(self.order):
-            width = 3 ** depth
-            levels.append(list(range(start, start + width)))
-            start += width
-        return levels
-
-    def voters_bottom_up(self) -> list[int]:
-        """Voter indices in draw/evaluation order: deepest level first."""
-        order = []
-        for level in reversed(self.voter_levels()):
-            order.extend(level)
-        return order
-
-    def children_of(self, voter: int) -> tuple[int, int, int]:
-        """Tree-node ids of a voter's three children (voters or leaves)."""
-        if not 0 <= voter < self.voter_count:
-            raise ValueError(f"voter index out of range: {voter}")
-        base = 3 * voter
-        return (base + 1, base + 2, base + 3)
-
 
 LeafConfig = Union[float, ModuleKind, Sequence[ModuleKind]]
 
@@ -163,31 +139,25 @@ def tile_scenario(scenario: Scenario, order: int) -> tuple[ModuleKind, ...]:
 def simulate_bit(
     net: HtmrNetwork, reference_bit: int, rng: RandomSource
 ) -> tuple[int, tuple[int, ...]]:
-    """Push one reference bit through the tree.
+    """Push one reference bit through the tree, one level at a time.
 
-    Returns the root output and the per-voter alarm bits (indexed
-    breadth-first). Draws are consumed in the module draw order documented
-    above; this scalar walk is the reference semantics that the vectorized
-    ``run_trials`` is held to.
+    Each level votes consecutive triples of the level below, then, when
+    the voter fault rate is nonzero, draws its voters' faults left to
+    right. Returns the root output and the per-voter alarm bits, root level
+    first (breadth-first voter indices). This scalar walk is the reference
+    semantics that the vectorized ``run_trials`` is held to.
     """
     reference_bit = check_bit("reference_bit", reference_bit)
-    n_voters = net.voter_count
-    values: list[int] = [0] * (n_voters + net.leaf_count)
-    for k, kind in enumerate(net.leaves):
-        values[n_voters + k] = module_output(kind, reference_bit, rng)
-    alarms = [0] * n_voters
+    level = [module_output(kind, reference_bit, rng) for kind in net.leaves]
+    alarms: list[int] = []
     rate = net.voter_fault_rate
-    for v in net.voters_bottom_up():
-        a, b, c = net.children_of(v)
-        children = (values[a], values[b], values[c])
-        alarms[v] = alarm_signal(children)
-        voted = majority_vote(children)
+    while len(level) > 1:
+        triples = [level[i:i + 3] for i in range(0, len(level), 3)]
+        alarms = [alarm_signal(t) for t in triples] + alarms
+        level = [majority_vote(t) for t in triples]
         if rate > 0.0:
-            failed = rng.uniform() < rate
-            values[v] = children[0] if failed else voted
-        else:
-            values[v] = voted
-    return values[0], tuple(alarms)
+            level = [t[0] if rng.uniform() < rate else v for t, v in zip(triples, level)]
+    return level[0], tuple(alarms)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,26 @@ class TestFlagParsing:
         assert " orders=1,2 " in odd.splitlines()[0]
         assert odd == canonical
 
+    @pytest.mark.parametrize("command", ["simulate", "scenarios"])
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--pf", "0.1", "--trials", "10", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("command", [
+        ("analytic",), ("simulate", "--trials", "10"), ("scenarios",),
+    ])
+    @pytest.mark.parametrize("pf", ["nan", "1.5", "-0.1"])
+    def test_bad_point_rate_is_named_pf(self, capsys, command, pf):
+        code, out, err = run_cli(capsys, *command, "--pf", pf)
+        assert code == 2
+        assert out == ""
+        assert f"pf must lie in [0, 1], got {float(pf)!r}" in err
+        assert "pf_min" not in err
+
     @pytest.mark.parametrize("command,orders", [
         (("analytic",), "0,1,2"), (("simulate", "--trials", "100"), "1"),
         (("scenarios",), "1,2"),

@@ -14,7 +14,6 @@ from htmr_lab.faults import (
     faulty_module,
     make_scenario,
     module_output,
-    scenario_pattern,
 )
 
 
@@ -42,7 +41,7 @@ class TestScenarios:
     def test_roundtrip_patterns(self):
         for pattern in SCENARIO_PATTERNS:
             scenario = make_scenario(pattern, 0.3)
-            assert scenario_pattern(scenario) == pattern
+            assert "".join("F" if kind.faulty else "N" for kind in scenario) == pattern
             for kind, c in zip(scenario, pattern):
                 assert kind.faulty == (c == "F")
                 assert kind.rate == (0.3 if c == "F" else 0.0)
@@ -58,6 +57,10 @@ class TestRandomSource:
         a = RandomSource(1234)
         b = RandomSource(1234)
         assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RandomSource(-1)
 
     def test_scalar_and_array_draws_share_one_stream(self):
         a = RandomSource(77)

@@ -26,7 +26,14 @@ from htmr_lab.network import (
     simulate_bit,
     tile_scenario,
 )
-from htmr_lab.reliability import MAX_ORDER, pe_first, pe_order, pem_first
+from htmr_lab.reliability import (
+    MAX_ORDER,
+    pe_first,
+    pe_order,
+    pem_first,
+    pem_order,
+    tree_error_probability,
+)
 
 
 class TestTopology:
@@ -40,21 +47,42 @@ class TestTopology:
         assert len(net.leaves) == leaves
 
     def test_every_voter_has_three_children(self):
-        net = build_network(3, 0.1)
-        total = net.voter_count + net.leaf_count
-        seen = []
-        for v in range(net.voter_count):
-            children = net.children_of(v)
-            assert len(children) == 3
-            assert all(v < c < total for c in children)
-            seen.extend(children)
-        # children partition all non-root nodes
-        assert sorted(seen) == list(range(1, total))
+        # a wrong node (a leaf, or a voter whose whole subtree is wrong)
+        # raises only its parent's alarm: voter v votes nodes 3v+1..3v+3,
+        # with leaf k at node voter_count + k, and these triples partition
+        # every non-root node
+        order = 3
+        voters = build_network(order, FAULT_FREE).voter_count
+        total = voters + 3 ** order
+        parents = []
+        for node in range(1, total):
+            depth = int(math.log(2 * node + 1, 3) + 1e-9)
+            span = 3 ** (order - depth)
+            first = (node - (3 ** depth - 1) // 2) * span
+            leaves = [FAULT_FREE] * 3 ** order
+            leaves[first:first + span] = [faulty_module(1.0)] * span
+            out, alarms = simulate_bit(build_network(order, leaves), 0, RandomSource(0))
+            assert out == 0
+            assert sum(alarms) == 1, node
+            parents.append(alarms.index(1))
+            assert parents[-1] == (node - 1) // 3
+        assert sorted(parents) == sorted(list(range(voters)) * 3)
 
     def test_bottom_up_order_is_deepest_level_first(self):
-        net = build_network(2, 0.1)
-        assert net.voters_bottom_up() == [1, 2, 3, 0]
-        assert net.voter_levels() == [[0], [1, 2, 3]]
+        # order 2, leaf triples (W, N, N) with W always wrong, faulty
+        # voters: the three W draws come first, then voters 1, 2, 3 left
+        # to right, then the root -- replay the stream and predict both
+        rate = 0.5
+        leaves = [faulty_module(1.0), FAULT_FREE, FAULT_FREE] * 3
+        net = build_network(2, leaves, voter_fault_rate=rate)
+        for seed in range(40):
+            replay = RandomSource(seed)
+            u = [replay.uniform() for _ in range(7)]
+            bottom = [int(x < rate) for x in u[3:6]]
+            root = bottom[0] if u[6] < rate else int(sum(bottom) >= 2)
+            root_alarm = int(len(set(bottom)) > 1)
+            out, alarms = simulate_bit(net, 0, RandomSource(seed))
+            assert (out, alarms) == (root, (root_alarm, 1, 1, 1)), seed
 
     def test_leaf_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -103,6 +131,18 @@ class TestSimulateBit:
         out, alarms = simulate_bit(net, 0, RandomSource(1))
         assert out == 0
         assert alarms == (1,)
+
+    def test_alarms_are_indexed_breadth_first(self):
+        # order 2: the root is voter 0 and the bottom voters 1, 2, 3 take
+        # leaf triples 0, 1, 2; one always-wrong leaf in triple 1 raises
+        # only the alarm of voter 2, which masks it from the root
+        leaves = [FAULT_FREE] * 9
+        leaves[4] = faulty_module(1.0)
+        net = build_network(2, leaves)
+        for ref in (0, 1):
+            out, alarms = simulate_bit(net, ref, RandomSource(0))
+            assert out == ref
+            assert alarms == (0, 0, 1, 0)
 
     def test_all_wrong_modules_win_silently(self):
         net = build_network(1, make_scenario("FFF", 1.0))
@@ -357,6 +397,20 @@ class TestMonteCarloAgreement:
         estimate, _ = run_trials(net, n, RandomSource(3000))
         expected = pem_first(pf, pfmb)
         assert abs(estimate.pe_hat - expected) <= four_sigma(expected, n)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_faulty_voters_track_the_exact_tree(self, order):
+        # every voter fails at pfmb: the exact tree is the reference, not
+        # the paper's pem recursion, which this estimate misses by ~14
+        # sigma at order 2
+        n, pf, pfmb = 10**6, 0.1, 0.1
+        net = build_network(order, pf, voter_fault_rate=pfmb)
+        estimate, _ = run_trials(net, n, RandomSource(3))
+        exact = tree_error_probability([pf], order, pfmb)
+        sigma = math.sqrt(exact * (1.0 - exact) / n)
+        assert abs(estimate.pe_hat - exact) <= 5.0 * sigma
+        if order >= 2:
+            assert abs(estimate.pe_hat - pem_order(order, pf, pfmb)) > 5.0 * sigma
 
 
 class TestAlarmAccounting:

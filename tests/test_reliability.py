@@ -18,7 +18,6 @@ from htmr_lab.reliability import (
     CLAIMED_ORDER2_EXPANSION,
     EXACT_ORDER2_EXPANSION,
     MAX_ORDER,
-    complement,
     evaluate_power_series,
     expansion_audit,
     operations_per_error,
@@ -29,20 +28,11 @@ from htmr_lab.reliability import (
     proposition_check,
     reduction_rate,
     scenario_error_probability,
+    tree_error_probability,
 )
 from htmr_lab.voting import majority_vote
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-class TestComplement:
-    @pytest.mark.parametrize("p,expected", [(0.0, 1.0), (1.0, 0.0), (0.3, 0.7)])
-    def test_values(self, p, expected):
-        assert complement(p) == pytest.approx(expected, abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            complement(1.5)
 
 
 class TestPeFirst:
@@ -223,6 +213,76 @@ class TestScenarioErrorProbability:
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError):
             scenario_error_probability("NFX", 0.1)
+
+
+def tree_error_bruteforce(leaves, order: int, q: float) -> float:
+    """Independent oracle: enumerate every leaf-error and voter-fault
+    pattern of the tiled tree, push the error bits up with the voter truth
+    table (a failed voter passes its first child), and sum the weight of
+    the patterns whose root errs."""
+    rates = list(leaves) * (3 ** order // len(leaves))
+    voters = (3 ** order - 1) // 2
+    total = 0.0
+    for errs in product((0, 1), repeat=len(rates)):
+        leaf_weight = math.prod(r if e else 1.0 - r for r, e in zip(rates, errs))
+        for fails in product((0, 1), repeat=voters):
+            weight = leaf_weight * math.prod(q if f else 1.0 - q for f in fails)
+            level, fail = list(errs), iter(fails)
+            while len(level) > 1:
+                triples = [level[i:i + 3] for i in range(0, len(level), 3)]
+                level = [t[0] if next(fail) else majority_vote(t) for t in triples]
+            total += weight * level[0]
+    return total
+
+
+MIXED_LEAVES = (0.3, 0.0, 1.0, 0.7, 0.15, 0.0, 0.45, 1.0, 0.9)
+
+
+class TestTreeErrorProbability:
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("order,k", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    def test_matches_bruteforce_enumeration(self, order, k, q):
+        leaves = MIXED_LEAVES[:3 ** k]
+        assert tree_error_probability(leaves, order, q) == pytest.approx(
+            tree_error_bruteforce(leaves, order, q), rel=1e-12, abs=1e-15
+        )
+
+    def test_short_leaves_tile_like_the_full_bottom_level(self):
+        for q in (0.0, 0.3):
+            triple = MIXED_LEAVES[:3]
+            assert tree_error_probability(triple, 3, q) == tree_error_probability(
+                triple * 9, 3, q
+            )
+            for p in (0.0, 0.1, 0.5, 0.999999999, 1.0):
+                assert tree_error_probability([p] * 27, 3, q) == (
+                    tree_error_probability([p], 3, q)
+                )
+
+    def test_failed_voter_passes_its_first_child(self):
+        assert tree_error_probability([1.0, 0.0, 0.0], 1, 1.0) == 1.0
+        assert tree_error_probability([0.0, 1.0, 1.0], 1, 1.0) == 0.0
+        assert tree_error_probability([1.0, 0.0, 0.0], 1, 0.0) == 0.0
+
+    def test_voter_faults_at_every_level_differ_from_pem_order(self):
+        # pf = pfmb = 0.1: order 1 agrees with the paper's mixture, deeper
+        # trees err more often than pem_order because their lower voters
+        # fail too
+        assert tree_error_probability([0.1], 1, 0.1) == pem_order(1, 0.1, 0.1)
+        assert tree_error_probability([0.1], 2, 0.1) == pytest.approx(6.7869e-3, abs=1e-7)
+        assert tree_error_probability([0.1], 3, 0.1) == pytest.approx(8.025e-4, abs=1e-7)
+        assert pem_order(2, 0.1, 0.1) == pytest.approx(5.597e-3, abs=1e-6)
+
+    @pytest.mark.parametrize("leaves,order", [
+        ([], 1), ([0.1] * 2, 1), ([0.1] * 6, 2), ([0.1] * 9, 1), ([0.1] * 3, 0),
+    ])
+    def test_rejects_leaf_counts_that_do_not_tile(self, leaves, order):
+        with pytest.raises(ValueError, match=r"3\*\*k leaf error rates"):
+            tree_error_probability(leaves, order)
+
+    def test_order_bounds(self):
+        for bad in (-1, MAX_ORDER + 1, 1.5):
+            with pytest.raises(ValueError):
+                tree_error_probability([0.1], bad)
 
 
 class TestPropositionCheck:

@@ -19,7 +19,6 @@ from htmr_lab.faults import (
 from htmr_lab.harness import SweepConfig, reduction_claims_check
 from htmr_lab.network import FaultStatusCounter, build_network, health_report, simulate_bit
 from htmr_lab.reliability import (
-    complement,
     expansion_audit,
     operations_per_error,
     pe_first,
@@ -29,6 +28,7 @@ from htmr_lab.reliability import (
     proposition_check,
     reduction_rate,
     scenario_error_probability,
+    tree_error_probability,
 )
 from htmr_lab.voting import (
     TmrRegister,
@@ -60,7 +60,6 @@ PROBABILITY_ENTRIES = {
     "faulty_module": lambda p, rng: faulty_module(p),
     "make_scenario": lambda p, rng: make_scenario("NFF", p),
     "ber_corrupt": lambda p, rng: ber_corrupt(0, p, rng),
-    "complement": lambda p, rng: complement(p),
     "pe_first": lambda p, rng: pe_first(p),
     "pem_first/pf": lambda p, rng: pem_first(p, 0.1),
     "pem_first/pfmb": lambda p, rng: pem_first(0.1, p),
@@ -71,6 +70,9 @@ PROBABILITY_ENTRIES = {
     "reduction_rate/pe": lambda p, rng: reduction_rate(0.1, p),
     "operations_per_error": lambda p, rng: operations_per_error(p),
     "scenario_error_probability": lambda p, rng: scenario_error_probability("FFF", p),
+    "tree_error_probability/leaves": lambda p, rng: tree_error_probability([0.1, p, 0.2], 2),
+    "tree_error_probability/voter_fault_rate":
+        lambda p, rng: tree_error_probability([0.1], 2, voter_fault_rate=p),
     "proposition_check": lambda p, rng: proposition_check(p, 3),
     "expansion_audit": lambda p, rng: expansion_audit([0.1, p]),
     "reduction_claims_check": lambda p, rng: reduction_claims_check(p),
