@@ -53,7 +53,7 @@ def main() -> None:
     print("=" * 48)
     print(f"{'pf':>7} {'module':>10} {'1 level':>10} {'2 levels':>10}")
     print("-" * 48)
-    for row in table3_report().rows:
+    for row in table3_report():
         module, one, two = row.ops_presented
         print(f"{row.pf:>7} {module:>10} {one:>10} {two:>10}")
 

@@ -5,22 +5,16 @@ degraded module, counts alarm assertions per voter, and lets the health
 report point the finger -- without ever looking at the data path.
 """
 
-from htmr_lab import (
-    FAULT_FREE,
-    RandomSource,
-    build_network,
-    faulty_module,
-    health_report,
-    run_trials,
-)
+from htmr_lab import RandomSource, build_network, health_report, run_trials
 
 
 def main() -> None:
-    # triple 0 healthy, triple 1 carries a 20% module, triple 2 healthy
+    # leaf error rates: triple 0 healthy, triple 1 carries a 20% module,
+    # triple 2 healthy
     leaves = (
-        [FAULT_FREE, FAULT_FREE, FAULT_FREE]
-        + [FAULT_FREE, faulty_module(0.2), FAULT_FREE]
-        + [FAULT_FREE, FAULT_FREE, FAULT_FREE]
+        [0.0, 0.0, 0.0]
+        + [0.0, 0.2, 0.0]
+        + [0.0, 0.0, 0.0]
     )
     net = build_network(2, leaves)
     trials = 100_000

@@ -10,22 +10,16 @@ serializes the two against each other.
 __version__ = "0.1.0"
 
 from .faults import (
-    FAULT_FREE,
-    ModuleKind,
     RandomSource,
-    Scenario,
     SCENARIO_PATTERNS,
     ber_corrupt,
-    faulty_module,
     make_scenario,
     module_output,
 )
 from .harness import (
     ComparisonRow,
-    LowProbabilityRow,
     ReductionClaims,
     SweepConfig,
-    Table3Report,
     Table3Row,
     TABLE3_RATES,
     floor_to_sig_figs,

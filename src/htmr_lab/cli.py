@@ -250,8 +250,7 @@ def cmd_scenarios(args) -> OutputDocument:
 
 
 def cmd_table3(args) -> OutputDocument:
-    report = table3_report()
-    rows = [(row.pf,) + row.ops_presented for row in report.rows]
+    rows = [(row.pf,) + row.ops_presented for row in table3_report()]
     return OutputDocument(
         meta=_meta(args, "table3"),
         columns=("pf", "module", "order1", "order2"),

@@ -1,9 +1,10 @@
-"""Stochastic faulty-module model and reproducible uniform random streams.
+"""Stochastic module model and reproducible uniform random streams.
 
-A faulty module is modeled as a fault-free module followed by a Bernoulli
-bit-inversion stage: on each operation the output bit is inverted with the
-module's error rate, independently of everything else. Stuck-at and
-correlated/burst errors are out of scope.
+A module is its error rate: a fault-free module followed by a Bernoulli
+bit-inversion stage that inverts the output bit on each operation with
+that probability, independently of everything else. A rate of 0 is a
+fault-free module, which draws nothing. Stuck-at and correlated/burst
+errors are out of scope.
 
 Randomness comes from ``RandomSource``, a deterministic uniform-[0,1)
 stream keyed by a master seed plus a derivation path, so any simulation is
@@ -14,25 +15,31 @@ to parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .voting import check_bit
 
 __all__ = [
+    "check_integer",
     "check_probability",
-    "ModuleKind",
-    "FAULT_FREE",
-    "faulty_module",
-    "Scenario",
     "SCENARIO_PATTERNS",
     "make_scenario",
     "RandomSource",
     "ber_corrupt",
     "module_output",
 ]
+
+
+def check_integer(name: str, value) -> int:
+    """Validate that ``value`` is integral, such as 3 or 3.0; returns it as an int."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def check_probability(name: str, value: float) -> float:
@@ -43,42 +50,19 @@ def check_probability(name: str, value: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
-class ModuleKind:
-    """A redundant module: fault-free, or erring at a fixed per-operation rate."""
-
-    faulty: bool
-    rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        rate = check_probability("module error rate", self.rate)
-        if not self.faulty and rate != 0.0:
-            raise ValueError("a fault-free module cannot carry a nonzero error rate")
-        object.__setattr__(self, "rate", rate)
-
-
-FAULT_FREE = ModuleKind(faulty=False)
-
-
-def faulty_module(rate: float) -> ModuleKind:
-    """Module whose output bit inverts with probability ``rate`` per operation."""
-    return ModuleKind(faulty=True, rate=rate)
-
-
-Scenario = Tuple[ModuleKind, ModuleKind, ModuleKind]
-
 SCENARIO_PATTERNS = ("NNF", "NFF", "FFF")
 
 
-def make_scenario(pattern: str, rate: float) -> Scenario:
-    """Build a module triple from an "NNF"-style pattern.
+def make_scenario(pattern: str, rate: float) -> tuple[float, float, float]:
+    """Error rates of a voter's three modules from an "NNF"-style pattern.
 
-    'N' is a fault-free module, 'F' a faulty one erring at ``rate``.
-    Positions correspond to the three voter inputs in order.
+    'N' is a fault-free module (rate 0), 'F' a faulty one erring at
+    ``rate``. Positions correspond to the three voter inputs in order.
     """
     if len(pattern) != 3 or set(pattern) - {"N", "F"}:
         raise ValueError(f"scenario pattern must be three N/F letters, got {pattern!r}")
-    return tuple(faulty_module(rate) if c == "F" else FAULT_FREE for c in pattern)
+    rate = check_probability("module error rate", rate)
+    return tuple(rate if c == "F" else 0.0 for c in pattern)
 
 
 class RandomSource:
@@ -95,10 +79,10 @@ class RandomSource:
     __slots__ = ("_seed", "_path", "_gen")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self._seed = int(seed)
+        self._seed = check_integer("seed", seed)
         if self._seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
-        self._path = tuple(int(i) for i in path)
+        self._path = tuple(check_integer("path index", i) for i in path)
         sequence = np.random.SeedSequence(self._seed, spawn_key=self._path)
         self._gen = np.random.Generator(np.random.PCG64(sequence))
 
@@ -136,13 +120,13 @@ def ber_corrupt(bit: int, rate: float, rng: RandomSource) -> int:
     return bit ^ int(rng.uniform() < rate)
 
 
-def module_output(kind: ModuleKind, reference_bit: int, rng: RandomSource) -> int:
-    """Output of one module given the fault-free reference bit.
+def module_output(rate: float, reference_bit: int, rng: RandomSource) -> int:
+    """Output of one module erring at ``rate``, given the reference bit.
 
-    Fault-free modules return the reference unchanged and consume no
-    draws; faulty modules consume exactly one, so trial alignment is
-    reproducible regardless of how many modules in a set are faulty.
+    A module at rate 0 returns the reference unchanged and consumes no
+    draw; any other module consumes exactly one, so trial alignment is
+    reproducible from the rates alone.
     """
-    if not kind.faulty:
+    if rate == 0.0:
         return check_bit("reference_bit", reference_bit)
-    return ber_corrupt(reference_bit, kind.rate, rng)
+    return ber_corrupt(reference_bit, rate, rng)

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .faults import SCENARIO_PATTERNS, RandomSource, check_probability, make_scenario
-from .network import build_network, run_trials, tile_scenario
+from .network import build_network, run_trials
 from .reliability import (
     check_order,
     operations_per_error,
@@ -31,8 +31,10 @@ from .reliability import (
     reduction_rate,
     tree_error_probability,
 )
-# perfbench/tracer.py wraps these two by name in this module; they stay
-# bound here until the benchmark stops looking them up.
+# perfbench/tracer.py wraps these by name in this module, as it wraps
+# build_network and run_trials; they stay bound here until the benchmark
+# stops looking them up.
+from .network import tile_scenario  # noqa: F401
 from .reliability import pe_first, scenario_error_probability  # noqa: F401
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "sweep_monte_carlo",
     "scenario_suite",
     "Table3Row",
-    "Table3Report",
     "table3_report",
     "TABLE3_RATES",
     "floor_to_sig_figs",
@@ -138,6 +139,11 @@ class SweepConfig:
     def pfmb_at(self, pf: float) -> float:
         return pf if self.pfmb == "pf" else float(self.pfmb)
 
+    def leaves_at(self, pf: float) -> tuple[float, ...]:
+        """Leaf error rates at ``pf``: every module at ``pf``, or the
+        scenario's triple, tiled across the tree."""
+        return (pf,) if self.scenario is None else make_scenario(self.scenario, pf)
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -162,12 +168,9 @@ class ComparisonRow:
 
 
 def _analytic_row(cfg: SweepConfig, pf: float, order: int) -> ComparisonRow:
-    if cfg.scenario is not None:
-        rates = [kind.rate for kind in make_scenario(cfg.scenario, pf)]
-        pe = pem = tree_error_probability(rates, order)
-    else:
-        pe = pe_order(order, pf)
-        pem = pem_order(order, pf, cfg.pfmb_at(pf))
+    pe = tree_error_probability(cfg.leaves_at(pf), order)
+    # the paper's recursion is for uniform leaves; scenarios have pfmb = 0
+    pem = pe if cfg.scenario is not None else pem_order(order, pf, cfg.pfmb_at(pf))
     if pf == 0.0:
         re = rem = re_per_module = None
     else:
@@ -192,11 +195,7 @@ def _empirical_row(
     cfg: SweepConfig, pf: float, order: int, stream: RandomSource
 ) -> ComparisonRow:
     row = _analytic_row(cfg, pf, order)
-    if cfg.scenario is not None:
-        leaves = tile_scenario(make_scenario(cfg.scenario, pf), order)
-        net = build_network(order, leaves, voter_fault_rate=0.0)
-    else:
-        net = build_network(order, pf, voter_fault_rate=cfg.pfmb_at(pf))
+    net = build_network(order, cfg.leaves_at(pf), voter_fault_rate=cfg.pfmb_at(pf))
     estimate, _ = run_trials(net, cfg.trials, stream, workers=cfg.workers)
     return replace(
         row, pe_hat=estimate.pe_hat, std_err=estimate.std_err, trials=estimate.trials
@@ -279,12 +278,7 @@ class Table3Row:
     ops_presented: tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class Table3Report:
-    rows: tuple[Table3Row, ...]
-
-
-def table3_report() -> Table3Report:
+def table3_report() -> tuple[Table3Row, ...]:
     """Operations-per-error at the reference rates for orders 0, 1, 2."""
     rows = []
     for pf in TABLE3_RATES:
@@ -296,7 +290,7 @@ def table3_report() -> Table3Report:
                 ops_presented=tuple(present_operations(v) for v in ops),
             )
         )
-    return Table3Report(rows=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ below, left to right, and voters are indexed breadth-first from the root
 (root = 0). Order 0 is the bare module: one leaf, no voters, and the leaf
 is the root.
 
+A leaf is its error rate, and a rate of 0 is a fault-free module. A
+network holds its leaves the way ``reliability.tree_error_probability``
+takes them: 3**k rates, k <= j, repeated across the 3**j leaves, so one
+rate describes a uniform tree and a triple describes a tiled scenario.
+
 Every voter shares the same fault rate: with that probability its data
 path fails and it passes its first child through un-voted, otherwise it
 emits the majority of its children. The disagreement alarm is computed
@@ -21,10 +26,10 @@ pass-through output and leaves its alarm unchanged, so every node's error
 bit and every alarm are the same for either reference bit.
 
 Draw discipline, fixed so every run is bit-reproducible from its seed:
-within a trial, faulty leaves draw first (left to right), then, when the
-voter fault rate is nonzero, every voter draws once, bottom level first,
-left to right within a level. Fault-free leaves never draw; with a zero
-voter fault rate voters never draw.
+within a trial, leaves at a nonzero rate draw first (left to right), then,
+when the voter fault rate is nonzero, every voter draws once, bottom level
+first, left to right within a level. A leaf at rate 0 never draws; with a
+zero voter fault rate voters never draw.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faults import ModuleKind, RandomSource, Scenario, check_probability, module_output
-from .reliability import check_order
+from .faults import RandomSource, check_probability, module_output
+from .reliability import check_leaves, check_order
 from .voting import alarm_signal, check_bit, majority_vote
 
 __all__ = [
@@ -69,23 +74,19 @@ _DRAW_ROWS = 1 << 14
 
 @dataclass(frozen=True)
 class HtmrNetwork:
-    """Immutable description of a complete ternary voting tree."""
+    """Immutable description of a complete ternary voting tree.
+
+    ``leaves`` holds 3**k leaf error rates, k <= ``order``, tiled across
+    the tree's 3**order leaves (see ``tile_scenario``).
+    """
 
     order: int
-    leaves: tuple[ModuleKind, ...]
+    leaves: tuple[float, ...]
     voter_fault_rate: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", check_order("order", self.order))
-        expected = 3 ** self.order
-        if len(self.leaves) != expected:
-            raise ValueError(
-                f"order {self.order} needs exactly {expected} leaves, "
-                f"got {len(self.leaves)}"
-            )
-        for leaf in self.leaves:
-            if not isinstance(leaf, ModuleKind):
-                raise ValueError(f"leaves must be ModuleKind instances, got {leaf!r}")
+        object.__setattr__(self, "leaves", check_leaves(self.leaves, self.order))
         check_probability("voter_fault_rate", self.voter_fault_rate)
 
     @property
@@ -97,43 +98,29 @@ class HtmrNetwork:
         return (3 ** self.order - 1) // 2
 
 
-LeafConfig = Union[float, ModuleKind, Sequence[ModuleKind]]
-
-
 def build_network(
     order: int,
-    leaf_config: LeafConfig,
+    leaves: Union[float, Sequence[float]],
     voter_fault_rate: float = 0.0,
 ) -> HtmrNetwork:
     """Construct and validate a network.
 
-    ``leaf_config`` is either a uniform error rate (every leaf faulty at
-    that rate), a single ``ModuleKind`` replicated across all leaves, or
-    an explicit sequence of exactly 3**order kinds.
+    ``leaves`` is one error rate for every leaf, or 3**k rates, k <=
+    ``order``, tiled across the tree.
     """
-    order = check_order("order", order)
-    count = 3 ** order
-    if isinstance(leaf_config, ModuleKind):
-        leaves = (leaf_config,) * count
-    elif isinstance(leaf_config, (int, float)) and not isinstance(leaf_config, bool):
-        rate = check_probability("leaf error rate", leaf_config)
-        leaves = (ModuleKind(faulty=True, rate=rate),) * count
-    else:
-        leaves = tuple(leaf_config)
+    leaves = (leaves,) if np.ndim(leaves) == 0 else tuple(leaves)
     return HtmrNetwork(order=order, leaves=leaves, voter_fault_rate=voter_fault_rate)
 
 
-def tile_scenario(scenario: Scenario, order: int) -> tuple[ModuleKind, ...]:
-    """Replicate a 3-module scenario across every leaf triple of a tree.
+def tile_scenario(leaves: Sequence[float], order: int) -> tuple[float, ...]:
+    """Repeat 3**k leaf error rates across the 3**``order`` leaves of a tree.
 
-    Order 1 is the scenario itself; order 2 applies the same pattern to
-    each of the three first-level triples (9 leaves), and so on.
+    One rate fills every leaf; a triple repeats on every bottom voter's
+    three modules (9 leaves at order 2), and so on.
     """
-    if len(scenario) != 3:
-        raise ValueError("a scenario holds exactly three modules")
-    if check_order("order", order) < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return tuple(scenario) * (3 ** (order - 1))
+    order = check_order("order", order)
+    leaves = check_leaves(leaves, order)
+    return leaves * (3 ** order // len(leaves))
 
 
 def simulate_bit(
@@ -148,7 +135,10 @@ def simulate_bit(
     semantics that the vectorized ``run_trials`` is held to.
     """
     reference_bit = check_bit("reference_bit", reference_bit)
-    level = [module_output(kind, reference_bit, rng) for kind in net.leaves]
+    level = [
+        module_output(leaf, reference_bit, rng)
+        for leaf in tile_scenario(net.leaves, net.order)
+    ]
     alarms: list[int] = []
     rate = net.voter_fault_rate
     while len(level) > 1:
@@ -235,16 +225,16 @@ def health_report(counter: FaultStatusCounter, alert_level: float = 0.05) -> Hea
 def _simulate_block(net: HtmrNetwork, hit: np.ndarray):
     """Vectorized simulation of one block, one tree level per step.
 
-    ``hit`` holds one row per draw in the documented draw order (faulty
-    leaves, then voters bottom-up when the voter fault rate is nonzero)
-    and one column per trial; an entry is set when that draw fell below
-    its rate. Rows carry error bits, so a block is bit-identical to running
-    ``simulate_bit`` trial by trial against the block's stream.
+    ``hit`` holds one row per draw in the documented draw order (leaves
+    at a nonzero rate, then voters bottom-up when the voter fault rate is
+    nonzero) and one column per trial; an entry is set when that draw fell
+    below its rate. Rows carry error bits, so a block is bit-identical to
+    running ``simulate_bit`` trial by trial against the block's stream.
     """
-    faulty = [k for k, kind in enumerate(net.leaves) if kind.faulty]
+    drawn = np.array(tile_scenario(net.leaves, net.order)) > 0.0
+    col = int(np.count_nonzero(drawn))
     x = np.zeros((net.leaf_count, hit.shape[1]), dtype=bool)
-    x[faulty] = hit[:len(faulty)]
-    col = len(faulty)
+    x[drawn] = hit[:col]
     alarm_counts = np.zeros(net.voter_count, dtype=np.int64)
     first = net.voter_count
     while len(x) > 1:
@@ -302,7 +292,7 @@ def run_trials(
     # per-trial draw rates in draw order
     voter_draws = net.voter_count if net.voter_fault_rate > 0.0 else 0
     rates = np.array(
-        [kind.rate for kind in net.leaves if kind.faulty]
+        [rate for rate in tile_scenario(net.leaves, net.order) if rate > 0.0]
         + [net.voter_fault_rate] * voter_draws,
         dtype=float,
     )

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-from .faults import Scenario, check_probability, make_scenario
+from .faults import check_integer, check_probability, make_scenario
 
 __all__ = [
     "MAX_ORDER",
     "check_order",
+    "check_leaves",
     "pe_first",
     "tree_error_probability",
     "pem_first",
@@ -54,12 +55,25 @@ MAX_ORDER = 16
 
 def check_order(name: str, j: int) -> int:
     """Validate a nesting order (an integer in 0..MAX_ORDER); returns it as an int."""
-    if j != int(j):
-        raise ValueError(f"{name} must be an integer, got {j!r}")
-    j = int(j)
+    j = check_integer(name, j)
     if not 0 <= j <= MAX_ORDER:
         raise ValueError(f"{name} must lie in 0..{MAX_ORDER}, got {j}")
     return j
+
+
+def check_leaves(leaves: Sequence[float], order: int) -> tuple[float, ...]:
+    """Validate the leaf error rates of an order-``order`` tree; returns them.
+
+    The tree takes 3**k rates, k <= ``order``, repeated across its 3**order
+    leaves; a rate of 0 is a fault-free module. Check ``order`` first.
+    """
+    rates = tuple(check_probability("leaf error rate", p) for p in leaves)
+    if len(rates) not in [3 ** k for k in range(order + 1)]:
+        raise ValueError(
+            f"an order-{order} tree takes 3**k leaf error rates with "
+            f"k <= {order}, got {len(rates)}"
+        )
+    return rates
 
 
 def pe_first(pf: float) -> float:
@@ -87,7 +101,7 @@ def tree_error_probability(
 
     ``leaves`` holds 3**k leaf error rates, k <= ``order``, repeated across
     the 3**order leaves of the tree the way ``network.tile_scenario``
-    repeats a triple. Every voter fails with probability ``voter_fault_rate``
+    repeats them. Every voter fails with probability ``voter_fault_rate``
     and then passes its first child through, otherwise it votes. The
     children of a voter are disjoint subtrees, so they err independently and
     a voter over children erring at p_a, p_b, p_c errs with
@@ -100,12 +114,7 @@ def tree_error_probability(
     """
     order = check_order("order", order)
     q = check_probability("voter_fault_rate", voter_fault_rate)
-    level = [check_probability("leaf error rate", p) for p in leaves]
-    if len(level) not in [3 ** k for k in range(order + 1)]:
-        raise ValueError(
-            f"an order-{order} tree takes 3**k leaf error rates with "
-            f"k <= {order}, got {len(level)}"
-        )
+    level = list(check_leaves(leaves, order))
     for _ in range(order):
         if len(level) == 1:
             # the leaves are tiled, so one value stands for its whole level
@@ -173,16 +182,10 @@ def operations_per_error(pe: float) -> float:
     return 1.0 / e
 
 
-def scenario_error_probability(scenario: Union[Scenario, str], pf: float) -> float:
-    """Output error probability of one voter under a scenario.
-
-    ``scenario`` is a faulty/fault-free triple (or its "NNF"-style
-    pattern); every faulty module errs with probability ``pf``.
-    """
-    p = check_probability("pf", pf)
-    if isinstance(scenario, str):
-        scenario = make_scenario(scenario, p)
-    return tree_error_probability([p if kind.faulty else 0.0 for kind in scenario], 1)
+def scenario_error_probability(pattern: str, pf: float) -> float:
+    """Output error probability of one voter over an "NNF"-style pattern
+    of modules, every faulty one erring with probability ``pf``."""
+    return tree_error_probability(make_scenario(pattern, pf), 1)
 
 
 @dataclass(frozen=True)

@@ -6,45 +6,25 @@ import numpy as np
 import pytest
 
 from htmr_lab.faults import (
-    FAULT_FREE,
-    ModuleKind,
     RandomSource,
     SCENARIO_PATTERNS,
     ber_corrupt,
-    faulty_module,
     make_scenario,
     module_output,
 )
-
-
-class TestModuleKind:
-    def test_fault_free_constant(self):
-        assert not FAULT_FREE.faulty
-        assert FAULT_FREE.rate == 0.0
-
-    def test_faulty_factory(self):
-        kind = faulty_module(0.25)
-        assert kind.faulty
-        assert kind.rate == 0.25
-
-    def test_rate_must_be_probability(self):
-        for bad in (-0.1, 1.5, float("nan")):
-            with pytest.raises(ValueError):
-                faulty_module(bad)
-
-    def test_fault_free_cannot_carry_rate(self):
-        with pytest.raises(ValueError):
-            ModuleKind(faulty=False, rate=0.2)
 
 
 class TestScenarios:
     def test_roundtrip_patterns(self):
         for pattern in SCENARIO_PATTERNS:
             scenario = make_scenario(pattern, 0.3)
-            assert "".join("F" if kind.faulty else "N" for kind in scenario) == pattern
-            for kind, c in zip(scenario, pattern):
-                assert kind.faulty == (c == "F")
-                assert kind.rate == (0.3 if c == "F" else 0.0)
+            assert "".join("F" if rate else "N" for rate in scenario) == pattern
+            assert scenario == tuple(0.3 if c == "F" else 0.0 for c in pattern)
+
+    def test_rate_must_be_probability(self):
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="module error rate must lie in"):
+                make_scenario("NFF", bad)
 
     def test_bad_patterns_rejected(self):
         for bad in ("NN", "NNNF", "NFX", ""):
@@ -61,6 +41,21 @@ class TestRandomSource:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             RandomSource(-1)
+
+    @pytest.mark.parametrize("seed", [1.7, math.nan, math.inf, "3", None])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            RandomSource(seed)
+
+    def test_non_integral_path_index_rejected(self):
+        with pytest.raises(ValueError, match="path index must be an integer, got 1.5"):
+            RandomSource(0, (1.5,))
+        with pytest.raises(ValueError, match="path index must be an integer, got 0.5"):
+            RandomSource(0).derive(3, 0.5)
+
+    def test_integral_floats_are_keys(self):
+        assert RandomSource(2.0).uniform() == RandomSource(2).uniform()
+        assert RandomSource(0, (3.0,)).path == (3,)
 
     def test_scalar_and_array_draws_share_one_stream(self):
         a = RandomSource(77)
@@ -129,22 +124,29 @@ class TestModuleOutput:
     def test_fault_free_passthrough_consumes_nothing(self):
         a = RandomSource(21)
         b = RandomSource(21)
-        assert module_output(FAULT_FREE, 1, a) == 1
-        assert module_output(FAULT_FREE, 0, a) == 0
+        assert module_output(0.0, 1, a) == 1
+        assert module_output(0.0, 0, a) == 0
         assert a.uniform() == b.uniform()
 
     def test_faulty_consumes_exactly_one_draw(self):
         a = RandomSource(22)
         b = RandomSource(22)
-        module_output(faulty_module(0.4), 1, a)
+        module_output(0.4, 1, a)
         b.uniform()
         assert a.uniform() == b.uniform()
 
     def test_degenerate_rates(self):
         rng = RandomSource(23)
-        assert module_output(faulty_module(0.0), 1, rng) == 1
-        assert module_output(faulty_module(1.0), 0, rng) == 1
-        assert module_output(faulty_module(1.0), 1, rng) == 0
+        assert module_output(0.0, 1, rng) == 1
+        assert module_output(1.0, 0, rng) == 1
+        assert module_output(1.0, 1, rng) == 0
+
+    def test_rate_must_be_probability(self):
+        rng = RandomSource(24)
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="rate must lie in"):
+                module_output(bad, 1, rng)
+        assert rng.uniform() == RandomSource(24).uniform()
 
 
 class TestCalibration:

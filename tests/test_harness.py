@@ -246,15 +246,14 @@ class TestTable3:
     }
 
     def test_rates_covered_in_order(self):
-        report = table3_report()
-        assert tuple(r.pf for r in report.rows) == TABLE3_RATES
+        assert tuple(r.pf for r in table3_report()) == TABLE3_RATES
 
     def test_presented_cells_match_reference(self):
-        for row in table3_report().rows:
+        for row in table3_report():
             assert row.ops_presented == self.EXPECTED[row.pf], row.pf
 
     def test_exact_columns_are_reciprocals(self):
-        for row in table3_report().rows:
+        for row in table3_report():
             for j, ops in enumerate(row.ops_exact):
                 assert ops == pytest.approx(1.0 / pe_order(j, row.pf), rel=1e-12)
 

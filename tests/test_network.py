@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from htmr_lab import network
-from htmr_lab.faults import FAULT_FREE, RandomSource, faulty_module, make_scenario
+from htmr_lab.faults import RandomSource, make_scenario
 from htmr_lab.network import (
     _DRAW_ROWS,
     EmpiricalEstimate,
@@ -44,7 +44,6 @@ class TestTopology:
         net = build_network(order, 0.1)
         assert net.leaf_count == leaves
         assert net.voter_count == voters
-        assert len(net.leaves) == leaves
 
     def test_every_voter_has_three_children(self):
         # a wrong node (a leaf, or a voter whose whole subtree is wrong)
@@ -52,15 +51,15 @@ class TestTopology:
         # with leaf k at node voter_count + k, and these triples partition
         # every non-root node
         order = 3
-        voters = build_network(order, FAULT_FREE).voter_count
+        voters = build_network(order, 0.0).voter_count
         total = voters + 3 ** order
         parents = []
         for node in range(1, total):
             depth = int(math.log(2 * node + 1, 3) + 1e-9)
             span = 3 ** (order - depth)
             first = (node - (3 ** depth - 1) // 2) * span
-            leaves = [FAULT_FREE] * 3 ** order
-            leaves[first:first + span] = [faulty_module(1.0)] * span
+            leaves = [0.0] * 3 ** order
+            leaves[first:first + span] = [1.0] * span
             out, alarms = simulate_bit(build_network(order, leaves), 0, RandomSource(0))
             assert out == 0
             assert sum(alarms) == 1, node
@@ -73,7 +72,7 @@ class TestTopology:
         # voters: the three W draws come first, then voters 1, 2, 3 left
         # to right, then the root -- replay the stream and predict both
         rate = 0.5
-        leaves = [faulty_module(1.0), FAULT_FREE, FAULT_FREE] * 3
+        leaves = [1.0, 0.0, 0.0] * 3
         net = build_network(2, leaves, voter_fault_rate=rate)
         for seed in range(40):
             replay = RandomSource(seed)
@@ -85,8 +84,14 @@ class TestTopology:
             assert (out, alarms) == (root, (root_alarm, 1, 1, 1)), seed
 
     def test_leaf_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_network(2, [FAULT_FREE] * 3)
+        # 3**k rates with k <= order tile; any other count does not
+        for count in (2, 4, 8, 27):
+            with pytest.raises(ValueError, match="3\\*\\*k leaf error rates"):
+                build_network(2, [0.0] * count)
+
+    def test_leaves_stay_as_given(self):
+        assert build_network(MAX_ORDER, 0.1).leaves == (0.1,)
+        assert build_network(2, make_scenario("NNF", 0.3)).leaves == (0.0, 0.0, 0.3)
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
@@ -95,9 +100,11 @@ class TestTopology:
             build_network(MAX_ORDER + 1, 0.1)
 
     def test_uniform_and_explicit_configs_agree(self):
-        uniform = build_network(1, 0.2)
-        explicit = build_network(1, [faulty_module(0.2)] * 3)
-        assert uniform == explicit
+        uniform = build_network(1, 0.2, voter_fault_rate=0.1)
+        explicit = build_network(1, [0.2] * 3, voter_fault_rate=0.1)
+        assert run_trials(uniform, 5_000, RandomSource(8)) == run_trials(
+            explicit, 5_000, RandomSource(8)
+        )
 
     def test_voter_rate_validated(self):
         with pytest.raises(ValueError):
@@ -109,17 +116,25 @@ class TestTopology:
         tiled = tile_scenario(scenario, 2)
         assert len(tiled) == 9
         assert tiled[0:3] == scenario and tiled[3:6] == scenario and tiled[6:9] == scenario
+        # any 3**k rates tile, one rate included
+        assert tile_scenario((0.2,), 0) == (0.2,)
+        assert tile_scenario((0.2,), 2) == (0.2,) * 9
+        nine = tuple(k / 10 for k in range(9))
+        assert tile_scenario(nine, 3) == nine * 3
 
     def test_tile_scenario_checks_order_before_tiling(self):
         scenario = make_scenario("NNF", 0.3)
         for order in (0, MAX_ORDER + 1):
             with pytest.raises(ValueError):
                 tile_scenario(scenario, order)
+        # one rate at MAX_ORDER + 1 would tile to 3**17 leaves
+        with pytest.raises(ValueError, match=f"order must lie in 0..{MAX_ORDER}"):
+            tile_scenario((0.1,), MAX_ORDER + 1)
 
 
 class TestSimulateBit:
     def test_fault_free_network_is_transparent(self):
-        net = build_network(2, FAULT_FREE)
+        net = build_network(2, 0.0)
         rng = RandomSource(0)
         for ref in (0, 1):
             out, alarms = simulate_bit(net, ref, rng)
@@ -136,8 +151,8 @@ class TestSimulateBit:
         # order 2: the root is voter 0 and the bottom voters 1, 2, 3 take
         # leaf triples 0, 1, 2; one always-wrong leaf in triple 1 raises
         # only the alarm of voter 2, which masks it from the root
-        leaves = [FAULT_FREE] * 9
-        leaves[4] = faulty_module(1.0)
+        leaves = [0.0] * 9
+        leaves[4] = 1.0
         net = build_network(2, leaves)
         for ref in (0, 1):
             out, alarms = simulate_bit(net, ref, RandomSource(0))
@@ -155,7 +170,7 @@ class TestSimulateBit:
         # then the voter -- replay the stream by hand and predict the output
         rate = 0.5
         net = build_network(
-            1, (FAULT_FREE, faulty_module(rate), faulty_module(rate)),
+            1, (0.0, rate, rate),
             voter_fault_rate=rate,
         )
         for seed in range(40):
@@ -174,7 +189,7 @@ class TestSimulateBit:
         # bit and the alarms agree for either reference on the same draws
         for order in (1, 2, 3):
             leaves = [
-                FAULT_FREE if k % 4 == 1 else faulty_module(0.2 + 0.1 * (k % 5))
+                0.0 if k % 4 == 1 else 0.2 + 0.1 * (k % 5)
                 for k in range(3 ** order)
             ]
             net = build_network(order, leaves, voter_fault_rate=0.25)
@@ -192,17 +207,23 @@ class TestSimulateBit:
 
 class TestRunTrialsDeterminism:
     def test_scalar_and_vectorized_routes_are_bit_identical(self):
-        leaves = (FAULT_FREE, faulty_module(0.35), faulty_module(0.8)) * 3
+        leaves = (0.0, 0.35, 0.8) * 3
         # order 3: fault-free leaves at scattered positions, including a
         # whole fault-free triple and a triple with a single faulty leaf
-        sparse = [faulty_module(0.3)] * 27
+        sparse = [0.3] * 27
         for k in (0, 4, 5, 9, 10, 11, 17, 22, 26):
-            sparse[k] = FAULT_FREE
-        mixed = (faulty_module(0.4), FAULT_FREE, faulty_module(0.6))
+            sparse[k] = 0.0
+        mixed = (0.4, 0.0, 0.6)
+        # rate-0 leaves draw nothing and rate-1 leaves draw and always hit,
+        # between fractional ones, under voter faults; tiled at order 3
+        extremes = (0.0, 1.0, 0.45, 1.0, 0.0, 0.0, 0.3, 1.0, 0.0)
         for net, n in (
             (build_network(2, leaves, voter_fault_rate=0.2), 700),
             (build_network(0, 0.35, voter_fault_rate=0.2), 700),
             (build_network(3, sparse, voter_fault_rate=0.1), 700),
+            (build_network(2, extremes, voter_fault_rate=0.35), 700),
+            (build_network(3, extremes, voter_fault_rate=0.2), 700),
+            (build_network(2, 0.0, voter_fault_rate=0.5), 700),
             # one block whose draws cross a draw-chunk boundary
             (build_network(1, mixed, voter_fault_rate=0.3), _DRAW_ROWS + 300),
         ):
@@ -357,8 +378,8 @@ class TestMasking:
         # perfect masking holds structurally, for any rate and placement
         for position in range(3):
             for rate in (0.3, 1.0):
-                leaves = [FAULT_FREE] * 3
-                leaves[position] = faulty_module(rate)
+                leaves = [0.0] * 3
+                leaves[position] = rate
                 net = build_network(1, leaves)
                 estimate, _ = run_trials(net, 20_000, RandomSource(position))
                 assert estimate.errors == 0
@@ -412,10 +433,21 @@ class TestMonteCarloAgreement:
         if order >= 2:
             assert abs(estimate.pe_hat - pem_order(order, pf, pfmb)) > 5.0 * sigma
 
+    def test_faulty_voters_over_tiled_leaves_track_the_exact_tree(self):
+        # nine different leaf rates tiled three times at order 3: the
+        # simulator and the evaluator read the very same leaves object
+        n, q = 10**6, 0.1
+        nine = (0.05, 0.3, 0.0, 0.2, 0.1, 0.45, 1.0, 0.0, 0.15)
+        net = build_network(3, nine, voter_fault_rate=q)
+        estimate, _ = run_trials(net, n, RandomSource(31))
+        exact = tree_error_probability(net.leaves, net.order, q)
+        sigma = math.sqrt(exact * (1.0 - exact) / n)
+        assert abs(estimate.pe_hat - exact) <= 5.0 * sigma
+
 
 class TestAlarmAccounting:
     def test_quiet_when_nothing_can_fault(self):
-        net = build_network(2, FAULT_FREE)
+        net = build_network(2, 0.0)
         _, counter = run_trials(net, 5_000, RandomSource(0))
         assert counter.alarm_counts == (0, 0, 0, 0)
         report = health_report(counter)

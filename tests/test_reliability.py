@@ -207,8 +207,14 @@ class TestScenarioErrorProbability:
                 ), (pattern, pf)
 
     def test_accepts_module_triples(self):
+        # a rate triple goes to the evaluator itself
         scenario = make_scenario("NFF", 0.2)
-        assert scenario_error_probability(scenario, 0.2) == pytest.approx(0.04, abs=1e-15)
+        assert tree_error_probability(scenario, 1) == pytest.approx(0.04, abs=1e-15)
+
+    def test_triples_keep_their_own_rates(self):
+        # every module at 0.3 errs like pe_first(0.3), whatever other rate is near
+        assert tree_error_probability(make_scenario("FFF", 0.3), 1) == pe_first(0.3)
+        assert scenario_error_probability("FFF", 0.3) == pe_first(0.3)
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError):
@@ -280,8 +286,8 @@ class TestTreeErrorProbability:
             tree_error_probability(leaves, order)
 
     def test_order_bounds(self):
-        for bad in (-1, MAX_ORDER + 1, 1.5):
-            with pytest.raises(ValueError):
+        for bad in (-1, MAX_ORDER + 1, 1.5, math.nan, math.inf, "2"):
+            with pytest.raises(ValueError, match="order must"):
                 tree_error_probability([0.1], bad)
 
 

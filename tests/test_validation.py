@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 from htmr_lab.faults import (
-    FAULT_FREE,
-    ModuleKind,
     RandomSource,
     ber_corrupt,
     check_probability,
-    faulty_module,
     make_scenario,
     module_output,
 )
 from htmr_lab.harness import SweepConfig, reduction_claims_check
 from htmr_lab.network import FaultStatusCounter, build_network, health_report, simulate_bit
 from htmr_lab.reliability import (
+    check_leaves,
     expansion_audit,
     operations_per_error,
     pe_first,
@@ -49,16 +47,15 @@ BIT_ENTRIES = {
     "vote_with_alarm": lambda v, rng: vote_with_alarm((0, 1, v)),
     "flipflop_step": lambda v, rng: flipflop_step(TmrRegister(), (v, 1, 1)),
     "ber_corrupt": lambda v, rng: ber_corrupt(v, 0.5, rng),
-    "module_output/fault-free": lambda v, rng: module_output(FAULT_FREE, v, rng),
-    "module_output/faulty": lambda v, rng: module_output(faulty_module(0.5), v, rng),
+    "module_output/fault-free": lambda v, rng: module_output(0.0, v, rng),
+    "module_output/faulty": lambda v, rng: module_output(0.5, v, rng),
     "simulate_bit": lambda v, rng: simulate_bit(build_network(1, 0.5, 0.5), v, rng),
 }
 
 PROBABILITY_ENTRIES = {
     "check_probability": lambda p, rng: check_probability("p", p),
-    "ModuleKind": lambda p, rng: ModuleKind(faulty=True, rate=p),
-    "faulty_module": lambda p, rng: faulty_module(p),
     "make_scenario": lambda p, rng: make_scenario("NFF", p),
+    "module_output": lambda p, rng: module_output(p, 0, rng),
     "ber_corrupt": lambda p, rng: ber_corrupt(0, p, rng),
     "pe_first": lambda p, rng: pe_first(p),
     "pem_first/pf": lambda p, rng: pem_first(p, 0.1),
@@ -71,6 +68,7 @@ PROBABILITY_ENTRIES = {
     "operations_per_error": lambda p, rng: operations_per_error(p),
     "scenario_error_probability": lambda p, rng: scenario_error_probability("FFF", p),
     "tree_error_probability/leaves": lambda p, rng: tree_error_probability([0.1, p, 0.2], 2),
+    "check_leaves": lambda p, rng: check_leaves([p], 0),
     "tree_error_probability/voter_fault_rate":
         lambda p, rng: tree_error_probability([0.1], 2, voter_fault_rate=p),
     "proposition_check": lambda p, rng: proposition_check(p, 3),
@@ -113,6 +111,6 @@ def test_numpy_integers_are_bits(one):
     assert TripleInput(one, 0, one).as_tuple() == (1, 0, 1)
     assert majority_vote(np.array([one, 0, one])) == 1
     assert ber_corrupt(one, 0.0, RandomSource(0)) == 1
-    assert module_output(FAULT_FREE, one, RandomSource(0)) == 1
+    assert module_output(0.0, one, RandomSource(0)) == 1
     out, _ = simulate_bit(build_network(1, 0.0), one, RandomSource(0))
     assert out == 1
