@@ -225,7 +225,7 @@ def cmd_simulate(args) -> OutputDocument:
         **_sweep_echo(cfg),
         pfmb=cfg.pfmb,
         trials=cfg.trials,
-        streams="derive(point,order,block)@2",
+        streams="derive(point,order,block)@3",
     )
     if args.scenario:
         meta["scenario"] = args.scenario
@@ -244,7 +244,7 @@ def cmd_scenarios(args) -> OutputDocument:
         "scenarios",
         **_sweep_echo(cfg),
         trials=cfg.trials,
-        streams="derive(scenario,point,order,block)",
+        streams="derive(scenario,point,order,block)@3",
     )
     return OutputDocument(meta=meta, columns=SWEEP_COLUMNS + ("scenario",), rows=rows)
 

@@ -6,10 +6,12 @@ that probability, independently of everything else. A rate of 0 is a
 fault-free module, which draws nothing. Stuck-at and correlated/burst
 errors are out of scope.
 
-Randomness comes from ``RandomSource``, a deterministic uniform-[0,1)
-stream keyed by a master seed plus a derivation path, so any simulation is
-bit-reproducible from its seed and independent sub-streams can be handed
-to parallel workers.
+Randomness comes from ``RandomSource``, a deterministic stream keyed by a
+master seed plus a derivation path, so any simulation is bit-reproducible
+from its seed and independent sub-streams can be handed to parallel
+workers. Besides uniform draws it fills arrays of independent fault bits
+at one rate with ``bernoulli``, at a cost that grows with the number of
+faults rather than with the number of bits (Poisson splitting).
 """
 
 from __future__ import annotations
@@ -65,8 +67,15 @@ def make_scenario(pattern: str, rate: float) -> tuple[float, float, float]:
     return tuple(rate if c == "F" else 0.0 for c in pattern)
 
 
+# ``RandomSource.bernoulli`` expects at most 0.7 * _POSITIONS positions per
+# window (ln 4 * _POSITIONS / 2, at rate 1/2). That bounds its int64 index
+# array near 360 KiB however many faults a block holds, and keeps each
+# window's scattered writes within a cache-sized stretch of the output.
+_POSITIONS = 1 << 16
+
+
 class RandomSource:
-    """Deterministic uniform-[0,1) stream with reproducible sub-streams.
+    """Deterministic random stream with reproducible sub-streams.
 
     Backed by numpy's PCG64, keyed by ``(seed, path)`` through
     ``SeedSequence(seed, spawn_key=path)``. The same key replays the same
@@ -105,6 +114,32 @@ class RandomSource:
     def uniforms(self, shape) -> np.ndarray:
         """Array of uniform draws, consumed from the stream in C order."""
         return self._gen.random(shape)
+
+    def bernoulli(self, out: np.ndarray, rate: float) -> None:
+        """Fill the flat bool array ``out`` with independent Bernoulli(``rate``) bits.
+
+        Poisson splitting: with r = min(``rate``, 1 - ``rate``), ``out`` is
+        cut into windows of ``_POSITIONS / (2 r)`` bits, the last one
+        shorter. A window of w bits draws k ~ Poisson(-w ln(1 - r)) and sets
+        k positions drawn uniformly from its bits, duplicates allowed; above
+        1/2 the positions mark the bits that stay clear. Each bit's hit
+        count is then an independent Poisson(-ln(1 - r)), so each bit is
+        set with probability exactly r, independently of the others
+        (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
+        At rate 0 or 1 nothing is drawn.
+        """
+        rate = check_probability("rate", rate)
+        flip = rate > 0.5
+        r = 1.0 - rate if flip else rate  # exact: 1 - rate is representable above 1/2
+        out.fill(flip)
+        if r == 0.0:
+            return
+        hits_per_bit = -math.log1p(-r)
+        window = max(1, int(min(out.size, _POSITIONS / 2 / r)))  # 1/r overflows below ~1e-304
+        for lo in range(0, out.size, window):
+            bits = out[lo:lo + window]
+            k = self._gen.poisson(bits.size * hits_per_bit)
+            bits[self._gen.integers(0, bits.size, k)] = not flip
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self._seed}, path={self._path})"

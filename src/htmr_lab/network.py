@@ -18,18 +18,26 @@ emits the majority of its children. The disagreement alarm is computed
 from the children either way (the alarm logic is a parallel tap, not part
 of the failed data path).
 
-Only ``simulate_bit``, the scalar reference semantics, pushes a reference
-bit through the tree. ``run_trials`` works on error bits ("this node's
-output differs from the reference"), one tree level per step. That is
-exact: inverting all three inputs of a voter inverts its majority and its
-pass-through output and leaves its alarm unchanged, so every node's error
-bit and every alarm are the same for either reference bit.
+Draw order: a trial's fault bits come in a fixed order. Leaves at a
+nonzero rate come first (left to right), then, when the voter fault rate is
+nonzero, one bit per voter, bottom level first, left to right within a
+level. A leaf at rate 0 has no bit; with a zero voter fault rate voters
+have none.
 
-Draw discipline, fixed so every run is bit-reproducible from its seed:
-within a trial, leaves at a nonzero rate draw first (left to right), then,
-when the voter fault rate is nonzero, every voter draws once, bottom level
-first, left to right within a level. A leaf at rate 0 never draws; with a
-zero voter fault rate voters never draw.
+Only ``simulate_bit``, the scalar reference semantics, pushes a reference
+bit through the tree, given one trial's fault bits. ``run_trials`` works on
+error bits ("this node's output differs from the reference"), one tree
+level per step. That is exact: inverting all three inputs of a voter
+inverts its majority and its pass-through output and leaves its alarm
+unchanged, so every node's error bit and every alarm are the same for
+either reference bit.
+
+Draw discipline, fixed so every run is bit-reproducible from its seed: a
+block holds one row per fault bit, in draw order, and one column per trial.
+Consecutive rows at equal rates form a run (the faulty leaves at one rate,
+then the voters), and each run's cells are filled in C order by one
+``RandomSource.bernoulli`` call on the block's stream, run after run. A
+network with no fault bits draws nothing and derives no stream.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faults import RandomSource, check_probability, module_output
+from .faults import RandomSource, check_probability
 from .reliability import check_leaves, check_order
 from .voting import alarm_signal, check_bit, majority_vote
 
@@ -65,11 +73,6 @@ __all__ = [
 # never depend on the worker count -- only on (stream key, network, trial
 # count).
 DEFAULT_BLOCK_SIZE = 1 << 16
-
-# Trials per uniform draw within a block. A block's draws come from its one
-# stream in row chunks; the stream fills in C order, so chunking consumes it
-# exactly like one block-sized draw while bounding the float matrix.
-_DRAW_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -124,29 +127,34 @@ def tile_scenario(leaves: Sequence[float], order: int) -> tuple[float, ...]:
 
 
 def simulate_bit(
-    net: HtmrNetwork, reference_bit: int, rng: RandomSource
+    net: HtmrNetwork, reference_bit: int, hits: Sequence
 ) -> tuple[int, tuple[int, ...]]:
     """Push one reference bit through the tree, one level at a time.
 
-    Each level votes consecutive triples of the level below, then, when
-    the voter fault rate is nonzero, draws its voters' faults left to
-    right. Returns the root output and the per-voter alarm bits, root level
-    first (breadth-first voter indices). This scalar walk is the reference
-    semantics that the vectorized ``run_trials`` is held to.
+    ``hits`` holds one trial's fault bits in draw order: a set bit inverts
+    its leaf's output or makes its voter pass its first child through. Each
+    level votes consecutive triples of the level below, then applies its
+    voters' fault bits left to right. Returns the root output and the
+    per-voter alarm bits, root level first (breadth-first voter indices).
+    This scalar walk is the reference semantics that the vectorized
+    ``run_trials`` is held to.
     """
     reference_bit = check_bit("reference_bit", reference_bit)
-    level = [
-        module_output(leaf, reference_bit, rng)
-        for leaf in tile_scenario(net.leaves, net.order)
-    ]
+    leaves = tile_scenario(net.leaves, net.order)
+    faulty_voters = net.voter_fault_rate > 0.0
+    hits = [bool(h) for h in hits]
+    draws = sum(leaf > 0.0 for leaf in leaves) + (net.voter_count if faulty_voters else 0)
+    if len(hits) != draws:
+        raise ValueError(f"this network takes {draws} fault bits per trial, got {len(hits)}")
+    bits = iter(hits)
+    level = [reference_bit ^ next(bits) if leaf > 0.0 else reference_bit for leaf in leaves]
     alarms: list[int] = []
-    rate = net.voter_fault_rate
     while len(level) > 1:
         triples = [level[i:i + 3] for i in range(0, len(level), 3)]
         alarms = [alarm_signal(t) for t in triples] + alarms
         level = [majority_vote(t) for t in triples]
-        if rate > 0.0:
-            level = [t[0] if rng.uniform() < rate else v for t, v in zip(triples, level)]
+        if faulty_voters:
+            level = [t[0] if next(bits) else v for t, v in zip(triples, level)]
     return level[0], tuple(alarms)
 
 
@@ -225,11 +233,10 @@ def health_report(counter: FaultStatusCounter, alert_level: float = 0.05) -> Hea
 def _simulate_block(net: HtmrNetwork, hit: np.ndarray):
     """Vectorized simulation of one block, one tree level per step.
 
-    ``hit`` holds one row per draw in the documented draw order (leaves
-    at a nonzero rate, then voters bottom-up when the voter fault rate is
-    nonzero) and one column per trial; an entry is set when that draw fell
-    below its rate. Rows carry error bits, so a block is bit-identical to
-    running ``simulate_bit`` trial by trial against the block's stream.
+    ``hit`` holds one row per fault bit in draw order (leaves at a nonzero
+    rate, then voters bottom-up when the voter fault rate is nonzero) and
+    one column per trial. Rows carry error bits, so a block is
+    bit-identical to running ``simulate_bit`` on each of its columns.
     """
     drawn = np.array(tile_scenario(net.leaves, net.order)) > 0.0
     col = int(np.count_nonzero(drawn))
@@ -257,6 +264,39 @@ def _processors() -> int:
     return os.cpu_count() or 1
 
 
+def _draw_runs(net: HtmrNetwork) -> list[tuple[int, int, float]]:
+    """Runs of consecutive equal-rate fault bits, in draw order.
+
+    Each run is ``(lo, hi, rate)``: rows ``lo``..``hi - 1`` of a block.
+    """
+    rates = [rate for rate in tile_scenario(net.leaves, net.order) if rate > 0.0]
+    if net.voter_fault_rate > 0.0:
+        rates += [net.voter_fault_rate] * net.voter_count
+    runs = []
+    lo = 0
+    for rate, run in itertools.groupby(rates):
+        hi = lo + len(list(run))
+        runs.append((lo, hi, rate))
+        lo = hi
+    return runs
+
+
+def _draw_block(
+    runs: list[tuple[int, int, float]], m: int, rng: RandomSource, b: int
+) -> np.ndarray:
+    """Block ``b``'s fault bits for ``m`` trials: a row per bit, a column per trial.
+
+    Each run of rows is filled in place from ``rng.derive(b)``, run after
+    run; with no runs nothing is derived or drawn.
+    """
+    hit = np.empty((runs[-1][1] if runs else 0, m), dtype=bool)
+    if runs:
+        stream = rng.derive(b)
+        for lo, hi, rate in runs:
+            stream.bernoulli(hit[lo:hi].reshape(-1), rate)
+    return hit
+
+
 def run_trials(
     net: HtmrNetwork,
     n: int,
@@ -270,7 +310,8 @@ def run_trials(
     covers global trials [b * block_size, ...) and draws exclusively from
     ``rng.derive(b)``. Partitioning therefore depends only on ``n`` and
     ``block_size``, never on ``workers``: any worker count yields the
-    identical estimate and alarm counter. Errors are trials whose root
+    identical estimate and alarm counter. A network with no fault bits
+    derives no block stream. Errors are trials whose root
     output differs from the reference bit. ``n`` lies in 1..2**63 - 1,
     the range of the int64 alarm counters.
 
@@ -289,22 +330,11 @@ def run_trials(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    # per-trial draw rates in draw order
-    voter_draws = net.voter_count if net.voter_fault_rate > 0.0 else 0
-    rates = np.array(
-        [rate for rate in tile_scenario(net.leaves, net.order) if rate > 0.0]
-        + [net.voter_fault_rate] * voter_draws,
-        dtype=float,
-    )
+    runs = _draw_runs(net)
 
     def one_block(b):
         m = min(block_size, n - b * block_size)
-        stream = rng.derive(b)
-        hit = np.empty((len(rates), m), dtype=bool)
-        for start in range(0, m, _DRAW_ROWS):
-            rows = min(_DRAW_ROWS, m - start)
-            hit[:, start:start + rows] = (stream.uniforms((rows, len(rates))) < rates).T
-        return _simulate_block(net, hit)
+        return _simulate_block(net, _draw_block(runs, m, rng, b))
 
     blocks = (n - 1) // block_size + 1
     claims = itertools.count()

@@ -62,18 +62,21 @@ def check_order(name: str, j: int) -> int:
 
 
 def check_leaves(leaves: Sequence[float], order: int) -> tuple[float, ...]:
-    """Validate the leaf error rates of an order-``order`` tree; returns them.
+    """Validate the leaf error rates of an order-``order`` tree.
 
     The tree takes 3**k rates, k <= ``order``, repeated across its 3**order
     leaves; a rate of 0 is a fault-free module. Check ``order`` first.
+    Returns the shortest 3**i rates that tile to the same leaves, so two
+    descriptions of one tree come back equal.
     """
     rates = tuple(check_probability("leaf error rate", p) for p in leaves)
-    if len(rates) not in [3 ** k for k in range(order + 1)]:
+    sizes = [3 ** k for k in range(order + 1)]
+    if len(rates) not in sizes:
         raise ValueError(
             f"an order-{order} tree takes 3**k leaf error rates with "
             f"k <= {order}, got {len(rates)}"
         )
-    return rates
+    return next(rates[:i] for i in sizes if rates[:i] * (len(rates) // i) == rates)
 
 
 def pe_first(pf: float) -> float:

@@ -18,30 +18,30 @@ DOCUMENTS = {
     "protocol21": (
         "simulate --pf-min 0 --pf-max 1 --pf-steps 21 --orders 0,1,2 --trials 1e5 "
         "--workers 2",
-        "13130ebe6eb0d590cc5e4d3d8f5ed0ddb2ee1f1c874c3a09de0257b31e3f5a83",
+        "60437cf0ac7ad65ab8a2c30b69102dd05ee1154ff17c416373dfdcb97ba9c211",
     ),
     # rate-0 leaves under faulty voters: no error and no alarm can occur
     "fault_free_leaves_voter_faults": (
         "simulate --pf 0 --pfmb 0.1 --orders 0,1,2,3 --trials 5000",
-        "792020b384358893309b3c51a677421441218b91b415b4ebcf4f21eb6b0ac546",
+        "d8524c3e288355cdde3e7147e1344b9a1b51d6c4aec9825e3a5c3831b8d4b783",
     ),
     "always_wrong_leaves_voter_faults": (
         "simulate --pf 1 --pfmb 0.1 --orders 0,1,2 --trials 5000",
-        "22a36d287191e0be508b79f3222d2b283103119c25f15718fe50d4a4ce9d696c",
+        "2e15caa88222761e40e73dbeb2c81b2223ea1a155eb829c2679a75ef7882a3a1",
     ),
     "order3_voter_faults": (
         "simulate --pf 0.1 --order 3 --pfmb pf --trials 20000 --seed 7",
-        "f2332d3d24ebf12893f131a1ac51abdb4c4cb815f7dfbfb6015c8cad7652190a",
+        "f88f2f0c8d6f6519cb9171a3784f0f9d8a61671bb3d88ce834fd843d13addd6a",
     ),
     "scenario_nff_json": (
         "simulate --pf-min 0.1 --pf-max 0.3 --pf-steps 3 --orders 1,2 --scenario NFF "
         "--trials 20000 --seed 5 --format json",
-        "faebefa5c5f3f177576b8fb3cdd0a8abf31b626f42d6fef17704521a614d7493",
+        "610683aff8aee1c45fc953f34e06ac16491624fb44940f2bafd643c32a077e05",
     ),
     "scenarios_trials": (
         "scenarios --pf-min 0.05 --pf-max 0.45 --pf-steps 3 --orders 1,2,3 "
         "--trials 10000 --seed 11",
-        "1bbb6c18cf84e81d769da6bd6943ad900c1d19ca3dde2476bc6e3589c278a738",
+        "7b183b1ab66e0cca7b33222a9e0206e8bf5ef4eea007d22aa238bfac6ec7b904",
     ),
     "analytic_pfmb_pf": (
         "analytic --pf-min 0 --pf-max 1 --pf-steps 11 --orders 0,1,2,3,4 --pfmb pf",

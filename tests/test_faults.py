@@ -149,6 +149,54 @@ class TestModuleOutput:
         assert rng.uniform() == RandomSource(24).uniform()
 
 
+class TestBernoulli:
+    """``RandomSource.bernoulli``: marginals and pairwise independence."""
+
+    N = 2_000_000
+
+    @staticmethod
+    def within_five_sigma(count, pairs, p, overlap):
+        # ``pairs`` indicators at probability ``p``; ``overlap`` pairs of
+        # them share one bit, which adds covariance r**3 - r**4 each
+        r = math.sqrt(p)
+        variance = pairs * p * (1.0 - p) + 2 * overlap * (r**3 - r**4)
+        assert abs(count - pairs * p) <= 5.0 * math.sqrt(variance)
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-3, 0.3, 0.5, 0.7, 1.0])
+    def test_bits_are_independent_at_their_rate(self, rate):
+        bits = np.empty(self.N, dtype=bool)
+        RandomSource(2024).derive(int(rate * 1000)).bernoulli(bits, rate)
+        n = self.N
+        self.within_five_sigma(int(bits.sum()), n, rate, 0)
+        for stride in (1, 1 << 16):
+            joint = int(np.count_nonzero(bits[:-stride] & bits[stride:]))
+            self.within_five_sigma(joint, n - stride, rate * rate, n - 2 * stride)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_rates_zero_and_one_draw_nothing(self, rate):
+        rng = RandomSource(6)
+        bits = np.empty(1000, dtype=bool)
+        rng.bernoulli(bits, rate)
+        assert bits.all() if rate else not bits.any()
+        assert rng.uniform() == RandomSource(6).uniform()
+
+    @pytest.mark.parametrize("rate", [5e-324, 1e-300])
+    def test_subnormal_and_tiny_rates_fill_one_window(self, rate):
+        bits = np.ones(1000, dtype=bool)
+        RandomSource(6).bernoulli(bits, rate)
+        assert not bits.any()
+        RandomSource(6).bernoulli(bits[:0], rate)
+
+    def test_same_key_same_bits(self):
+        for rate in (0.01, 0.4, 0.8):
+            a, b = np.empty(100_000, dtype=bool), np.empty(100_000, dtype=bool)
+            RandomSource(9, (1, 2)).bernoulli(a, rate)
+            RandomSource(9).derive(1, 2).bernoulli(b, rate)
+            assert np.array_equal(a, b)
+            RandomSource(9, (1, 3)).bernoulli(b, rate)
+            assert not np.array_equal(a, b)
+
+
 class TestCalibration:
     N = 1_000_000
 

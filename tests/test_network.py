@@ -1,9 +1,9 @@
 """Structural simulator: topology, draw order, masking, and determinism.
 
 The vectorized ``run_trials`` is held bit-exactly to the scalar
-``simulate_bit`` walk, which in turn leans on the exhaustively tested
-voter truth table -- the two routes share no evaluation code beyond the
-module model itself.
+``simulate_bit`` walk on the same fault bits, which in turn leans on the
+exhaustively tested voter truth table -- the two routes share no
+evaluation code beyond the block's fault bits.
 """
 
 import math
@@ -16,8 +16,8 @@ import pytest
 
 from htmr_lab import network
 from htmr_lab.faults import RandomSource, make_scenario
+from htmr_lab.faults import _POSITIONS
 from htmr_lab.network import (
-    _DRAW_ROWS,
     EmpiricalEstimate,
     FaultStatusCounter,
     build_network,
@@ -60,7 +60,7 @@ class TestTopology:
             first = (node - (3 ** depth - 1) // 2) * span
             leaves = [0.0] * 3 ** order
             leaves[first:first + span] = [1.0] * span
-            out, alarms = simulate_bit(build_network(order, leaves), 0, RandomSource(0))
+            out, alarms = simulate_bit(build_network(order, leaves), 0, [1] * span)
             assert out == 0
             assert sum(alarms) == 1, node
             parents.append(alarms.index(1))
@@ -68,20 +68,33 @@ class TestTopology:
         assert sorted(parents) == sorted(list(range(voters)) * 3)
 
     def test_bottom_up_order_is_deepest_level_first(self):
-        # order 2, leaf triples (W, N, N) with W always wrong, faulty
-        # voters: the three W draws come first, then voters 1, 2, 3 left
-        # to right, then the root -- replay the stream and predict both
-        rate = 0.5
-        leaves = [1.0, 0.0, 0.0] * 3
-        net = build_network(2, leaves, voter_fault_rate=rate)
-        for seed in range(40):
-            replay = RandomSource(seed)
-            u = [replay.uniform() for _ in range(7)]
-            bottom = [int(x < rate) for x in u[3:6]]
-            root = bottom[0] if u[6] < rate else int(sum(bottom) >= 2)
-            root_alarm = int(len(set(bottom)) > 1)
-            out, alarms = simulate_bit(net, 0, RandomSource(seed))
-            assert (out, alarms) == (root, (root_alarm, 1, 1, 1)), seed
+        # order 2, every leaf and voter drawn: bits 0-8 are the leaves left
+        # to right, bits 9-11 the bottom voters 1, 2, 3, and bit 12 the root
+        net = build_network(2, 0.5, voter_fault_rate=0.5)
+
+        def bits(*set_bits):
+            hits = [0] * 13
+            for k in set_bits:
+                hits[k] = 1
+            return hits
+
+        for leaf in range(9):
+            # a wrong leaf raises only its own voter's alarm
+            alarms = [0] * 4
+            alarms[1 + leaf // 3] = 1
+            assert simulate_bit(net, 0, bits(leaf)) == (0, tuple(alarms)), leaf
+        for voter in (1, 2, 3):
+            # voter v's first leaf is wrong; only v's own fault bit passes
+            # it up, where it raises the root's alarm
+            first_leaf = 3 * (voter - 1)
+            for bit in (9, 10, 11):
+                alarms = [int(bit == 8 + voter), 0, 0, 0]
+                alarms[voter] = 1
+                out, got = simulate_bit(net, 0, bits(first_leaf, bit))
+                assert (out, got) == (0, tuple(alarms)), (voter, bit)
+        # the root's bit passes voter 1's wrong output through
+        assert simulate_bit(net, 0, bits(0, 9, 12)) == (1, (1, 1, 0, 0))
+        assert simulate_bit(net, 0, bits(3, 10, 12)) == (0, (1, 0, 1, 0))
 
     def test_leaf_length_mismatch_rejected(self):
         # 3**k rates with k <= order tile; any other count does not
@@ -93,6 +106,13 @@ class TestTopology:
         assert build_network(MAX_ORDER, 0.1).leaves == (0.1,)
         assert build_network(2, make_scenario("NNF", 0.3)).leaves == (0.0, 0.0, 0.3)
 
+    def test_leaves_reduce_to_their_shortest_tiling(self):
+        nine = (0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.1, 0.2, 0.4)
+        assert build_network(2, nine).leaves == nine
+        assert build_network(2, (0.1, 0.2, 0.3) * 3).leaves == (0.1, 0.2, 0.3)
+        assert build_network(3, [0.0] * 27).leaves == (0.0,)
+        assert tile_scenario((0.2,) * 9, 2) == (0.2,) * 9
+
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             build_network(-1, 0.1)
@@ -100,11 +120,15 @@ class TestTopology:
             build_network(MAX_ORDER + 1, 0.1)
 
     def test_uniform_and_explicit_configs_agree(self):
+        # one tree, two descriptions: equal networks with equal hashes
         uniform = build_network(1, 0.2, voter_fault_rate=0.1)
         explicit = build_network(1, [0.2] * 3, voter_fault_rate=0.1)
-        assert run_trials(uniform, 5_000, RandomSource(8)) == run_trials(
-            explicit, 5_000, RandomSource(8)
-        )
+        assert uniform == explicit
+        assert hash(uniform) == hash(explicit)
+        tiled = build_network(2, make_scenario("NFF", 0.3))
+        assert tiled == build_network(2, make_scenario("NFF", 0.3) * 3)
+        assert hash(tiled) == hash(build_network(2, make_scenario("NFF", 0.3) * 3))
+        assert uniform != build_network(1, [0.2, 0.2, 0.3], voter_fault_rate=0.1)
 
     def test_voter_rate_validated(self):
         with pytest.raises(ValueError):
@@ -135,15 +159,14 @@ class TestTopology:
 class TestSimulateBit:
     def test_fault_free_network_is_transparent(self):
         net = build_network(2, 0.0)
-        rng = RandomSource(0)
         for ref in (0, 1):
-            out, alarms = simulate_bit(net, ref, rng)
+            out, alarms = simulate_bit(net, ref, ())
             assert out == ref
             assert alarms == (0,) * 4
 
     def test_single_always_wrong_module_is_outvoted_and_flagged(self):
         net = build_network(1, make_scenario("NNF", 1.0))
-        out, alarms = simulate_bit(net, 0, RandomSource(1))
+        out, alarms = simulate_bit(net, 0, (1,))
         assert out == 0
         assert alarms == (1,)
 
@@ -155,58 +178,64 @@ class TestSimulateBit:
         leaves[4] = 1.0
         net = build_network(2, leaves)
         for ref in (0, 1):
-            out, alarms = simulate_bit(net, ref, RandomSource(0))
+            out, alarms = simulate_bit(net, ref, (1,))
             assert out == ref
             assert alarms == (0, 0, 1, 0)
 
     def test_all_wrong_modules_win_silently(self):
         net = build_network(1, make_scenario("FFF", 1.0))
-        out, alarms = simulate_bit(net, 0, RandomSource(1))
+        out, alarms = simulate_bit(net, 0, (1, 1, 1))
         assert out == 1
         assert alarms == (0,)
 
     def test_draw_order_matches_documentation(self):
-        # order 1, leaves (N, F, F), faulty voter: draws are leaf2, leaf3,
-        # then the voter -- replay the stream by hand and predict the output
-        rate = 0.5
-        net = build_network(
-            1, (0.0, rate, rate),
-            voter_fault_rate=rate,
-        )
-        for seed in range(40):
-            replay = RandomSource(seed)
-            u = [replay.uniform() for _ in range(3)]
-            bits = (0, int(u[0] < rate), int(u[1] < rate))
-            voted = 1 if sum(bits) >= 2 else 0
-            expected = bits[0] if u[2] < rate else voted
-            expected_alarm = 0 if len(set(bits)) == 1 else 1
-            out, alarms = simulate_bit(net, 0, RandomSource(seed))
-            assert (out, alarms[0]) == (expected, expected_alarm), seed
+        # order 1, leaves (N, F, F), faulty voter: the bits are leaf 2,
+        # leaf 3, then the voter; the rate-0 leaf 1 has none
+        net = build_network(1, (0.0, 0.5, 0.5), voter_fault_rate=0.5)
+        expected = {
+            (0, 0, 0): (0, (0,)),
+            (1, 0, 0): (0, (1,)),  # leaf 2 wrong, outvoted
+            (0, 1, 0): (0, (1,)),  # leaf 3 wrong, outvoted
+            (0, 0, 1): (0, (0,)),  # the voter passes leaf 1 through
+            (1, 1, 0): (1, (1,)),  # two wrong leaves win the vote
+            (1, 1, 1): (0, (1,)),  # ...unless the voter passes leaf 1
+        }
+        for hits, result in expected.items():
+            assert simulate_bit(net, 0, hits) == result, hits
 
     def test_results_do_not_depend_on_the_reference_bit(self):
         # inverting every leaf inverts every voter's majority and
         # pass-through output and leaves its alarm unchanged, so the error
-        # bit and the alarms agree for either reference on the same draws
+        # bit and the alarms agree for either reference on the same bits
         for order in (1, 2, 3):
             leaves = [
                 0.0 if k % 4 == 1 else 0.2 + 0.1 * (k % 5)
                 for k in range(3 ** order)
             ]
             net = build_network(order, leaves, voter_fault_rate=0.25)
-            for seed in range(60):
+            hit = network._draw_block(network._draw_runs(net), 60, RandomSource(order), 0)
+            for trial in range(60):
                 outcomes = []
                 for ref in (0, 1):
-                    out, alarms = simulate_bit(net, ref, RandomSource(seed))
+                    out, alarms = simulate_bit(net, ref, hit[:, trial])
                     outcomes.append((out ^ ref, alarms))
-                assert outcomes[0] == outcomes[1], (order, seed)
+                assert outcomes[0] == outcomes[1], (order, trial)
 
     def test_rejects_bad_reference(self):
         with pytest.raises(ValueError):
-            simulate_bit(build_network(1, 0.1), 2, RandomSource(0))
+            simulate_bit(build_network(1, 0.1), 2, (0, 0, 0))
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_rejects_a_wrong_number_of_fault_bits(self, count):
+        net = build_network(1, (0.0, 0.5, 0.5), voter_fault_rate=0.5)
+        with pytest.raises(ValueError, match=f"takes 3 fault bits per trial, got {count}"):
+            simulate_bit(net, 0, [0] * count)
 
 
 class TestRunTrialsDeterminism:
     def test_scalar_and_vectorized_routes_are_bit_identical(self):
+        # block 0's fault bits, drawn as run_trials draws them, fed to the
+        # scalar walk column by column
         leaves = (0.0, 0.35, 0.8) * 3
         # order 3: fault-free leaves at scattered positions, including a
         # whole fault-free triple and a triple with a single faulty leaf
@@ -214,9 +243,13 @@ class TestRunTrialsDeterminism:
         for k in (0, 4, 5, 9, 10, 11, 17, 22, 26):
             sparse[k] = 0.0
         mixed = (0.4, 0.0, 0.6)
-        # rate-0 leaves draw nothing and rate-1 leaves draw and always hit,
-        # between fractional ones, under voter faults; tiled at order 3
+        # rate-0 leaves have no fault bit and rate-1 leaves one that is
+        # always set, between fractional ones, under voter faults; tiled at
+        # order 3
         extremes = (0.0, 1.0, 0.45, 1.0, 0.0, 0.0, 0.3, 1.0, 0.0)
+        # nine leaf rows at 1/2 fill two sampler windows of _POSITIONS bits
+        crossing = 12_000
+        assert 9 * crossing > _POSITIONS
         for net, n in (
             (build_network(2, leaves, voter_fault_rate=0.2), 700),
             (build_network(0, 0.35, voter_fault_rate=0.2), 700),
@@ -224,17 +257,20 @@ class TestRunTrialsDeterminism:
             (build_network(2, extremes, voter_fault_rate=0.35), 700),
             (build_network(3, extremes, voter_fault_rate=0.2), 700),
             (build_network(2, 0.0, voter_fault_rate=0.5), 700),
-            # one block whose draws cross a draw-chunk boundary
-            (build_network(1, mixed, voter_fault_rate=0.3), _DRAW_ROWS + 300),
+            # both runs above 1/2: their draws place the fault-free bits
+            (build_network(2, 0.7, voter_fault_rate=0.6), 700),
+            (build_network(1, mixed, voter_fault_rate=0.3), 700),
+            (build_network(2, 0.5, voter_fault_rate=0.5), crossing),
         ):
             master = RandomSource(4242)
             estimate, counter = run_trials(net, n, master)
-            stream = master.derive(0)  # single block: block 0 carries all draws
+            # single block: block 0 carries all draws
+            hit = network._draw_block(network._draw_runs(net), n, master, 0)
             errors = 0
             alarm_counts = [0] * net.voter_count
             for i in range(n):
                 ref = i & 1
-                out, alarms = simulate_bit(net, ref, stream)
+                out, alarms = simulate_bit(net, ref, hit[:, i])
                 errors += int(out != ref)
                 for v, alarm in enumerate(alarms):
                     alarm_counts[v] += alarm
@@ -260,6 +296,22 @@ class TestRunTrialsDeterminism:
         a = run_trials(net, 5_000, RandomSource(3), block_size=512)
         b = run_trials(net, 5_000, RandomSource(3), block_size=512, workers=3)
         assert a == b
+
+    def test_a_network_without_fault_bits_draws_nothing(self, monkeypatch):
+        calls = []
+        for name in ("derive", "uniforms", "bernoulli"):
+            method = getattr(RandomSource, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(RandomSource, name, counted)
+        estimate, counter = run_trials(build_network(2, 0.0), 200_000, RandomSource(0))
+        assert calls == []
+        assert estimate.errors == 0 and counter.alarm_counts == (0,) * 4
+        run_trials(build_network(2, 0.1), 200_000, RandomSource(0))
+        assert calls.count("derive") == 4 and calls.count("bernoulli") == 4
 
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):
@@ -432,6 +484,14 @@ class TestMonteCarloAgreement:
         assert abs(estimate.pe_hat - exact) <= 5.0 * sigma
         if order >= 2:
             assert abs(estimate.pe_hat - pem_order(order, pf, pfmb)) > 5.0 * sigma
+
+    def test_rates_above_one_half_track_the_exact_tree(self):
+        # both runs draw the fault-free bits instead of the faults
+        n, pf, q = 10**6, 0.7, 0.6
+        estimate, _ = run_trials(build_network(2, pf, voter_fault_rate=q), n, RandomSource(41))
+        exact = tree_error_probability([pf], 2, q)
+        sigma = math.sqrt(exact * (1.0 - exact) / n)
+        assert abs(estimate.pe_hat - exact) <= 5.0 * sigma
 
     def test_faulty_voters_over_tiled_leaves_track_the_exact_tree(self):
         # nine different leaf rates tiled three times at order 3: the

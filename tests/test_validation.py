@@ -49,7 +49,7 @@ BIT_ENTRIES = {
     "ber_corrupt": lambda v, rng: ber_corrupt(v, 0.5, rng),
     "module_output/fault-free": lambda v, rng: module_output(0.0, v, rng),
     "module_output/faulty": lambda v, rng: module_output(0.5, v, rng),
-    "simulate_bit": lambda v, rng: simulate_bit(build_network(1, 0.5, 0.5), v, rng),
+    "simulate_bit": lambda v, rng: simulate_bit(build_network(1, 0.5, 0.5), v, (0,) * 4),
 }
 
 PROBABILITY_ENTRIES = {
@@ -57,6 +57,7 @@ PROBABILITY_ENTRIES = {
     "make_scenario": lambda p, rng: make_scenario("NFF", p),
     "module_output": lambda p, rng: module_output(p, 0, rng),
     "ber_corrupt": lambda p, rng: ber_corrupt(0, p, rng),
+    "RandomSource.bernoulli": lambda p, rng: rng.bernoulli(np.empty(4, dtype=bool), p),
     "pe_first": lambda p, rng: pe_first(p),
     "pem_first/pf": lambda p, rng: pem_first(p, 0.1),
     "pem_first/pfmb": lambda p, rng: pem_first(0.1, p),
@@ -112,5 +113,5 @@ def test_numpy_integers_are_bits(one):
     assert majority_vote(np.array([one, 0, one])) == 1
     assert ber_corrupt(one, 0.0, RandomSource(0)) == 1
     assert module_output(0.0, one, RandomSource(0)) == 1
-    out, _ = simulate_bit(build_network(1, 0.0), one, RandomSource(0))
+    out, _ = simulate_bit(build_network(1, 0.0), one, ())
     assert out == 1
