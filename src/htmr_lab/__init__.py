@@ -9,13 +9,7 @@ serializes the two against each other.
 
 __version__ = "0.1.0"
 
-from .faults import (
-    RandomSource,
-    SCENARIO_PATTERNS,
-    ber_corrupt,
-    make_scenario,
-    module_output,
-)
+from .faults import RandomSource, SCENARIO_PATTERNS, make_scenario
 from .harness import (
     ComparisonRow,
     ReductionClaims,

@@ -37,7 +37,18 @@ block holds one row per fault bit, in draw order, and one column per trial.
 Consecutive rows at equal rates form a run (the faulty leaves at one rate,
 then the voters), and each run's cells are filled in C order by one
 ``RandomSource.bernoulli`` call on the block's stream, run after run. A
-network with no fault bits draws nothing and derives no stream.
+network with no fault bits draws nothing and derives no stream. Each
+thread of a ``run_trials`` call draws every block it claims into one flat
+bool buffer, allocated once per call; a block is a C-contiguous view of
+its front, so the sampler always fills the buffer itself.
+
+Lane layout: the vote packs a block's rows along the trial axis, 64 trials
+to a ``uint64`` word (bit k of word w is trial 64 * w + k on little-endian
+machines), with each row zero-padded to whole words. Every level votes on
+words, and the alarm and error counts are popcounts. Padding lanes are zero
+in every row, so they never err or alarm; every row maps trials to lanes
+the same way, so the counts do not depend on byte order. Packing changes
+neither the draws nor any result.
 """
 
 from __future__ import annotations
@@ -230,18 +241,27 @@ def health_report(counter: FaultStatusCounter, alert_level: float = 0.05) -> Hea
     )
 
 
-def _simulate_block(net: HtmrNetwork, hit: np.ndarray):
+def _simulate_block(net: HtmrNetwork, hit: np.ndarray, drawn: np.ndarray):
     """Vectorized simulation of one block, one tree level per step.
 
     ``hit`` holds one row per fault bit in draw order (leaves at a nonzero
     rate, then voters bottom-up when the voter fault rate is nonzero) and
-    one column per trial. Rows carry error bits, so a block is
+    one column per trial; ``drawn`` marks the leaves that have a row. The
+    rows are packed 64 trials to a ``uint64`` word, zero-padded, and every
+    level votes whole words. Rows carry error bits, so a block is
     bit-identical to running ``simulate_bit`` on each of its columns.
     """
-    drawn = np.array(tile_scenario(net.leaves, net.order)) > 0.0
+    packed = np.packbits(hit, axis=1, bitorder="little")
+    pad = -packed.shape[1] % 8
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    lanes = packed.view(np.uint64)
     col = int(np.count_nonzero(drawn))
-    x = np.zeros((net.leaf_count, hit.shape[1]), dtype=bool)
-    x[drawn] = hit[:col]
+    if col == net.leaf_count:
+        x = lanes[:col]
+    else:
+        x = np.zeros((net.leaf_count, lanes.shape[1]), dtype=np.uint64)
+        x[drawn] = lanes[:col]
     alarm_counts = np.zeros(net.voter_count, dtype=np.int64)
     first = net.voter_count
     while len(x) > 1:
@@ -249,12 +269,15 @@ def _simulate_block(net: HtmrNetwork, hit: np.ndarray):
         a, b, c = x[0::3], x[1::3], x[2::3]
         w = len(a)
         first -= w
-        alarm_counts[first:first + w] = np.count_nonzero((a ^ b) | (a ^ c), axis=1)
-        x = (a & b) | (a & c) | (b & c)
+        alarm_counts[first:first + w] = np.bitwise_count((a ^ b) | (a ^ c)).sum(
+            axis=1, dtype=np.int64
+        )
+        x = (a & b) | (c & (a | b))
         if net.voter_fault_rate > 0.0:
-            x = np.where(hit[col:col + w], a, x)
+            # a failed voter passes its first child through
+            x ^= (x ^ a) & lanes[col:col + w]
             col += w
-    return int(np.count_nonzero(x[0])), alarm_counts
+    return int(np.bitwise_count(x[0]).sum()), alarm_counts
 
 
 def _processors() -> int:
@@ -282,14 +305,22 @@ def _draw_runs(net: HtmrNetwork) -> list[tuple[int, int, float]]:
 
 
 def _draw_block(
-    runs: list[tuple[int, int, float]], m: int, rng: RandomSource, b: int
+    runs: list[tuple[int, int, float]],
+    m: int,
+    rng: RandomSource,
+    b: int,
+    buf: np.ndarray | None = None,
 ) -> np.ndarray:
     """Block ``b``'s fault bits for ``m`` trials: a row per bit, a column per trial.
 
-    Each run of rows is filled in place from ``rng.derive(b)``, run after
-    run; with no runs nothing is derived or drawn.
+    The bits fill the front of the flat bool buffer ``buf`` when one is
+    given, else a fresh array. Each run of rows is filled in place from
+    ``rng.derive(b)``, run after run; with no runs nothing is derived or
+    drawn.
     """
-    hit = np.empty((runs[-1][1] if runs else 0, m), dtype=bool)
+    rows = runs[-1][1] if runs else 0
+    # a C-contiguous view, so each run's reshape(-1) is a view the sampler fills
+    hit = (np.empty(rows * m, dtype=bool) if buf is None else buf[:rows * m]).reshape(rows, m)
     if runs:
         stream = rng.derive(b)
         for lo, hi, rate in runs:
@@ -331,22 +362,24 @@ def run_trials(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     runs = _draw_runs(net)
-
-    def one_block(b):
-        m = min(block_size, n - b * block_size)
-        return _simulate_block(net, _draw_block(runs, m, rng, b))
-
+    rows = runs[-1][1] if runs else 0
+    drawn = np.array(tile_scenario(net.leaves, net.order)) > 0.0
     blocks = (n - 1) // block_size + 1
     claims = itertools.count()
     failures = []
     sums = []
 
     def work():
-        # claim blocks by index until none are left or any thread has failed
+        # claim blocks by index until none are left or any thread has failed;
+        # every block's bits are drawn into this thread's one buffer
         errors, counts = 0, np.zeros(net.voter_count, dtype=np.int64)
         try:
+            buf = np.empty(rows * min(block_size, n), dtype=bool)
             while not failures and (b := next(claims)) < blocks:
-                block_errors, alarm_counts = one_block(b)
+                m = min(block_size, n - b * block_size)
+                block_errors, alarm_counts = _simulate_block(
+                    net, _draw_block(runs, m, rng, b, buf), drawn
+                )
                 errors += block_errors
                 counts += alarm_counts
         except BaseException as exc:

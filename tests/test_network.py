@@ -250,7 +250,19 @@ class TestRunTrialsDeterminism:
         # nine leaf rows at 1/2 fill two sampler windows of _POSITIONS bits
         crossing = 12_000
         assert 9 * crossing > _POSITIONS
-        for net, n in (
+        # block widths around one 64-trial word: the zero padding lanes must
+        # never err or alarm, not even beside rate-1 leaves, whose every real
+        # lane is set, or runs above 1/2, whose draws place the clear bits
+        lane_edges = [
+            (net, n)
+            for n in (1, 7, 63, 64, 65)
+            for net in (
+                build_network(1, 1.0),
+                build_network(2, extremes, voter_fault_rate=0.35),
+                build_network(2, 0.7, voter_fault_rate=0.6),
+            )
+        ]
+        for net, n in lane_edges + [
             (build_network(2, leaves, voter_fault_rate=0.2), 700),
             (build_network(0, 0.35, voter_fault_rate=0.2), 700),
             (build_network(3, sparse, voter_fault_rate=0.1), 700),
@@ -261,7 +273,7 @@ class TestRunTrialsDeterminism:
             (build_network(2, 0.7, voter_fault_rate=0.6), 700),
             (build_network(1, mixed, voter_fault_rate=0.3), 700),
             (build_network(2, 0.5, voter_fault_rate=0.5), crossing),
-        ):
+        ]:
             master = RandomSource(4242)
             estimate, counter = run_trials(net, n, master)
             # single block: block 0 carries all draws
@@ -274,6 +286,33 @@ class TestRunTrialsDeterminism:
                 errors += int(out != ref)
                 for v, alarm in enumerate(alarms):
                     alarm_counts[v] += alarm
+            assert estimate.errors == errors
+            assert counter.alarm_counts == tuple(alarm_counts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_block_buffers_match_fresh_blocks(self, workers):
+        # three full blocks and a short one, each thread drawing into its one
+        # buffer: stale bits of an earlier block, or a sampler filling a copy
+        # of the buffer, would change the counts
+        block_size = 256
+        n = 3 * block_size + 5
+        for net in (
+            build_network(2, (0.0, 1.0, 0.45) * 3, voter_fault_rate=0.35),
+            build_network(2, 0.7, voter_fault_rate=0.6),
+        ):
+            estimate, counter = run_trials(
+                net, n, RandomSource(77), workers=workers, block_size=block_size
+            )
+            runs = network._draw_runs(net)
+            errors = 0
+            alarm_counts = [0] * net.voter_count
+            for b in range(4):
+                m = min(block_size, n - b * block_size)
+                hit = network._draw_block(runs, m, RandomSource(77), b)
+                for i in range(m):
+                    out, alarms = simulate_bit(net, 0, hit[:, i])
+                    errors += out
+                    alarm_counts = [c + a for c, a in zip(alarm_counts, alarms)]
             assert estimate.errors == errors
             assert counter.alarm_counts == tuple(alarm_counts)
 
@@ -324,7 +363,7 @@ class TestRunTrialsDeterminism:
 
     def test_largest_trial_count_is_accepted(self, monkeypatch):
         # runs no trial: the first block to reach the kernel stops the call
-        def stop(net, hit):
+        def stop(net, hit, drawn):
             raise RuntimeError(f"block of {hit.shape[1]} trials")
 
         monkeypatch.setattr(network, "_simulate_block", stop)
@@ -342,6 +381,18 @@ class TestRunTrialsDeterminism:
         # one kept result per block would add about 150 bytes a block
         assert peaks[3] - peaks[2] < 50_000
 
+    def test_one_block_peaks_near_its_fault_bit_matrix(self):
+        # one 65,536-trial order-4 block with voter faults holds 121 bool
+        # fault-bit rows of a byte per trial; its packed rows and levels take
+        # a bit per trial, so the block needs little beyond the bool matrix
+        net = build_network(4, 0.1, voter_fault_rate=0.1)
+        run_trials(net, 1 << 16, RandomSource(4))  # warms caches up
+        tracemalloc.start()
+        run_trials(net, 1 << 16, RandomSource(4))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 1.3 * 121 * (1 << 16)
+
 
 class TestFanOut:
     """The calling thread and its helpers claim blocks; processors cap them."""
@@ -352,10 +403,10 @@ class TestFanOut:
         simulate_block = network._simulate_block
         block_threads = []
 
-        def slow_block(net, hit):
+        def slow_block(net, hit, drawn):
             block_threads.append(threading.get_ident())
             time.sleep(0.02)  # long enough for every started thread to claim a block
-            return simulate_block(net, hit)
+            return simulate_block(net, hit, drawn)
 
         monkeypatch.setattr(network, "_simulate_block", slow_block)
         started = []
@@ -411,12 +462,12 @@ class TestFanOut:
         caller = threading.current_thread()
         raised = threading.Event()
 
-        def failing_block(net, hit):
+        def failing_block(net, hit, drawn):
             if (threading.current_thread() is caller) == (raiser == "caller"):
                 raised.set()
                 raise RuntimeError("block failed")
             raised.wait(10)  # make sure the raising thread claims a block too
-            return simulate_block(net, hit)
+            return simulate_block(net, hit, drawn)
 
         monkeypatch.setattr(network, "_simulate_block", failing_block)
         before = threading.active_count()
