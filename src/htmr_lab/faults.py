@@ -11,12 +11,16 @@ master seed plus a derivation path, so any simulation is bit-reproducible
 from its seed and independent sub-streams can be handed to parallel
 workers. Besides uniform draws it fills arrays of independent fault bits
 at one rate with ``bernoulli``, at a cost that grows with the number of
-faults rather than with the number of bits (Poisson splitting).
+faults rather than with the number of bits (Poisson splitting), and packed
+rows of 64-trial ``uint64`` words with ``bernoulli_lanes``, which draws most
+of a rate's bits a word at a time and leaves Poisson splitting a small
+residual.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -72,6 +76,13 @@ def make_scenario(pattern: str, rate: float) -> tuple[float, float, float]:
 # array near 360 KiB however many faults a block holds, and keeps each
 # window's scattered writes within a cache-sized stretch of the output.
 _POSITIONS = 1 << 16
+
+# ``RandomSource.bernoulli_lanes`` draws rates in steps of 2**-_DYADIC_BITS a
+# word at a time, from at most _DYADIC_BITS raw words per output word, and
+# packs and draws rows in steps of at most _WORDS words, which bounds its
+# temporary words near 64 KiB.
+_DYADIC_BITS = 5
+_WORDS = 1 << 13
 
 
 class RandomSource:
@@ -140,6 +151,71 @@ class RandomSource:
             bits = out[lo:lo + window]
             k = self._gen.poisson(bits.size * hits_per_bit)
             bits[self._gen.integers(0, bits.size, k)] = not flip
+
+    def bernoulli_lanes(
+        self, out: np.ndarray, m: int, rate: float, cells: np.ndarray | None = None
+    ) -> None:
+        """Fill the ``uint64`` rows ``out`` with ``m`` Bernoulli(``rate``) lanes each.
+
+        ``out`` is C-contiguous. Lane t of a row is bit t % 64 of its word
+        t // 64; the padding lanes at t >= ``m`` are cleared. With
+        r = min(``rate``, 1 - ``rate``), a = floor(r * 2**K) for
+        K = ``_DYADIC_BITS``, r_K = a / 2**K and s = (r - r_K) / (1 - r_K)
+        (the subtraction is exact, so s < 1/16), the draw has two stages:
+
+        1. ``bernoulli`` fills ``m`` bool cells per row at s, in C order,
+           which are packed into the lanes in little bit order. ``cells``
+           is a flat bool scratch array of at least ``out.shape[0] * m``
+           cells, or ``None`` for a fresh one. At s = 0 nothing is drawn.
+        2. Bernoulli(r_K) words are ORed in, in steps of whole rows of at
+           most ``_WORDS`` words (one row where a row is longer). Each word
+           comes from at most K raw PCG64 words w, drawn a step at a time:
+           starting at the lowest set bit of a with x = w, every higher
+           bit of a takes x = w | x when set and x = w & x when clear
+           (after Knuth & Yao, 1976). Bit k of x is set with probability
+           a / 2**K and reads only bit k of every w.
+
+        A lane is then set with probability r_K + (1 - r_K) s = r,
+        independently of every other lane, and above 1/2 the rows are
+        inverted. Below rate 1/32 (a = 0) the draw is ``bernoulli`` at r
+        alone, and at rate 1/2 it is one raw word per 64 lanes.
+        """
+        rate = check_probability("rate", rate)
+        flip = rate > 0.5
+        r = 1.0 - rate if flip else rate
+        a = int(r * (1 << _DYADIC_BITS))
+        r_k = a / (1 << _DYADIC_BITS)
+        s = (r - r_k) / (1.0 - r_k)
+        rows, words = out.shape
+        if s > 0.0:
+            cells = np.empty(rows * m, dtype=bool) if cells is None else cells[:rows * m]
+            self.bernoulli(cells, s)
+            cells = cells.reshape(rows, m)
+        low = (a & -a).bit_length() - 1
+        raw = self._gen.bit_generator.random_raw
+        step = max(1, _WORDS // words)
+        for lo in range(0, rows, step):
+            part = out[lo:lo + step]
+            if s > 0.0:
+                # bytes past the packed cells hold only padding lanes, cleared below
+                packed = np.packbits(cells[lo:lo + step], axis=1, bitorder="little")
+                part.view(np.uint8)[:, :packed.shape[1]] = packed
+                if sys.byteorder == "big":
+                    part.byteswap(inplace=True)  # lane t is bit t % 64 of the word's value
+            else:
+                part.fill(0)
+            if a:
+                x = raw(part.size)
+                for bit in range(low + 1, _DYADIC_BITS):
+                    if a >> bit & 1:
+                        x |= raw(x.size)
+                    else:
+                        x &= raw(x.size)
+                part |= x.reshape(part.shape)
+            if flip:
+                np.invert(part, out=part)
+            if m % 64:
+                part[:, -1] &= np.uint64((1 << m % 64) - 1)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self._seed}, path={self._path})"

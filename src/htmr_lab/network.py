@@ -33,22 +33,23 @@ unchanged, so every node's error bit and every alarm are the same for
 either reference bit.
 
 Draw discipline, fixed so every run is bit-reproducible from its seed: a
-block holds one row per fault bit, in draw order, and one column per trial.
-Consecutive rows at equal rates form a run (the faulty leaves at one rate,
-then the voters), and each run's cells are filled in C order by one
-``RandomSource.bernoulli`` call on the block's stream, run after run. A
-network with no fault bits draws nothing and derives no stream. Each
-thread of a ``run_trials`` call draws every block it claims into one flat
-bool buffer, allocated once per call; a block is a C-contiguous view of
-its front, so the sampler always fills the buffer itself.
+block holds one row per fault bit, in draw order, and one lane per trial,
+packed 64 trials to a ``uint64`` word (lane t is bit t % 64 of word
+t // 64). Consecutive rows at equal rates form a run (the faulty leaves at
+one rate, then the voters), and each run is drawn straight into its words
+by one ``RandomSource.bernoulli_lanes`` call on the block's stream, run
+after run, in two stages: a sparse Poisson residual on bool cells, packed,
+then bit-sliced words at the rate rounded down to a multiple of 1/32 ORed
+in. The sum is exact (see ``bernoulli_lanes``). A network with no fault
+bits draws nothing and derives no stream. Each thread of a ``run_trials``
+call draws every block it claims into one pair of flat buffers, packed
+rows and bool cells, allocated once per call; a block is a C-contiguous
+view of the front of the rows, so the sampler always fills the buffer
+itself.
 
-Lane layout: the vote packs a block's rows along the trial axis, 64 trials
-to a ``uint64`` word (bit k of word w is trial 64 * w + k on little-endian
-machines), with each row zero-padded to whole words. Every level votes on
-words, and the alarm and error counts are popcounts. Padding lanes are zero
-in every row, so they never err or alarm; every row maps trials to lanes
-the same way, so the counts do not depend on byte order. Packing changes
-neither the draws nor any result.
+Lane layout: each row is padded to whole words, and the sampler clears
+the padding lanes of every row, so they never err or alarm. Every level
+votes on words, and the alarm and error counts are popcounts.
 """
 
 from __future__ import annotations
@@ -241,21 +242,16 @@ def health_report(counter: FaultStatusCounter, alert_level: float = 0.05) -> Hea
     )
 
 
-def _simulate_block(net: HtmrNetwork, hit: np.ndarray, drawn: np.ndarray):
+def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
     """Vectorized simulation of one block, one tree level per step.
 
-    ``hit`` holds one row per fault bit in draw order (leaves at a nonzero
-    rate, then voters bottom-up when the voter fault rate is nonzero) and
-    one column per trial; ``drawn`` marks the leaves that have a row. The
-    rows are packed 64 trials to a ``uint64`` word, zero-padded, and every
-    level votes whole words. Rows carry error bits, so a block is
-    bit-identical to running ``simulate_bit`` on each of its columns.
+    ``lanes`` holds one packed row per fault bit in draw order (leaves at a
+    nonzero rate, then voters bottom-up when the voter fault rate is
+    nonzero), a trial per lane, with zero padding lanes; ``drawn`` marks
+    the leaves that have a row. Every level votes whole words. Rows carry
+    error bits, so a block is bit-identical to running ``simulate_bit`` on
+    each of its trials.
     """
-    packed = np.packbits(hit, axis=1, bitorder="little")
-    pad = -packed.shape[1] % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    lanes = packed.view(np.uint64)
     col = int(np.count_nonzero(drawn))
     if col == net.leaf_count:
         x = lanes[:col]
@@ -304,28 +300,52 @@ def _draw_runs(net: HtmrNetwork) -> list[tuple[int, int, float]]:
     return runs
 
 
+def _block_buffers(runs: list[tuple[int, int, float]], m: int):
+    """One thread's buffers for blocks of up to ``m`` trials.
+
+    Returns a flat ``uint64`` buffer for the packed rows and a flat bool
+    buffer for the Poisson stage of the widest run. Where they cannot be
+    allocated, the ``MemoryError`` names the bytes one block needs.
+    """
+    words = (runs[-1][1] if runs else 0) * -(-m // 64)
+    cells = max((hi - lo for lo, hi, _ in runs), default=0) * m
+    try:
+        return np.empty(words, dtype=np.uint64), np.empty(cells, dtype=bool)
+    except MemoryError:
+        need = 8 * words + cells
+        raise MemoryError(
+            f"one block of {m} trials needs {need:,} bytes ({need / 2**30:.1f} GiB) "
+            "of fault bits, more than can be allocated; simulate a lower order "
+            "or fewer trials"
+        ) from None
+
+
 def _draw_block(
     runs: list[tuple[int, int, float]],
     m: int,
     rng: RandomSource,
     b: int,
-    buf: np.ndarray | None = None,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Block ``b``'s fault bits for ``m`` trials: a row per bit, a column per trial.
+    """Block ``b``'s fault bits for ``m`` trials, packed: a row per bit, a lane per trial.
 
-    The bits fill the front of the flat bool buffer ``buf`` when one is
-    given, else a fresh array. Each run of rows is filled in place from
-    ``rng.derive(b)``, run after run; with no runs nothing is derived or
-    drawn.
+    The rows fill the front of the ``_block_buffers`` pair ``buffers`` when
+    one is given, else fresh arrays. Each run of rows is drawn in place by
+    ``RandomSource.bernoulli_lanes`` from ``rng.derive(b)``, run after run;
+    with no runs nothing is derived or drawn.
     """
     rows = runs[-1][1] if runs else 0
-    # a C-contiguous view, so each run's reshape(-1) is a view the sampler fills
-    hit = (np.empty(rows * m, dtype=bool) if buf is None else buf[:rows * m]).reshape(rows, m)
+    words = -(-m // 64)
+    # a C-contiguous view, so each run's rows are a view the sampler fills
+    if buffers is None:
+        lanes, cells = np.empty((rows, words), dtype=np.uint64), None
+    else:
+        lanes, cells = buffers[0][:rows * words].reshape(rows, words), buffers[1]
     if runs:
         stream = rng.derive(b)
         for lo, hi, rate in runs:
-            stream.bernoulli(hit[lo:hi].reshape(-1), rate)
-    return hit
+            stream.bernoulli_lanes(lanes[lo:hi], m, rate, cells)
+    return lanes
 
 
 def run_trials(
@@ -362,7 +382,6 @@ def run_trials(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     runs = _draw_runs(net)
-    rows = runs[-1][1] if runs else 0
     drawn = np.array(tile_scenario(net.leaves, net.order)) > 0.0
     blocks = (n - 1) // block_size + 1
     claims = itertools.count()
@@ -371,14 +390,14 @@ def run_trials(
 
     def work():
         # claim blocks by index until none are left or any thread has failed;
-        # every block's bits are drawn into this thread's one buffer
+        # every block's bits are drawn into this thread's one pair of buffers
         errors, counts = 0, np.zeros(net.voter_count, dtype=np.int64)
         try:
-            buf = np.empty(rows * min(block_size, n), dtype=bool)
+            buffers = _block_buffers(runs, min(block_size, n))
             while not failures and (b := next(claims)) < blocks:
                 m = min(block_size, n - b * block_size)
                 block_errors, alarm_counts = _simulate_block(
-                    net, _draw_block(runs, m, rng, b, buf), drawn
+                    net, _draw_block(runs, m, rng, b, buffers), drawn
                 )
                 errors += block_errors
                 counts += alarm_counts

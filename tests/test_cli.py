@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from htmr_lab import __version__
+from htmr_lab import __version__, network
 from htmr_lab.cli import main
 
 HEADER_PREFIX = f"# htmr-lab v{__version__} seed="
@@ -174,6 +175,29 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "trial count must lie in 1..2**63 - 1" in err
+
+    def test_a_block_that_cannot_be_allocated_exits_2_naming_its_bytes(
+        self, capsys, monkeypatch
+    ):
+        # order 12 with voter faults draws 797,161 fault bits a trial; a
+        # stand-in allocation fails above 1 GiB, so no such block is requested
+        empty = np.empty
+
+        def bounded_empty(shape, dtype=float):
+            if np.prod(shape) * np.dtype(dtype).itemsize > 1 << 30:
+                raise MemoryError("cannot allocate")
+            return empty(shape, dtype)
+
+        monkeypatch.setattr(network.np, "empty", bounded_empty)
+        code, out, err = run_cli(
+            capsys, "simulate", "--pf", "0.1", "--pfmb", "pf", "--order", "12",
+            "--trials", "65536",
+        )
+        assert code == 2
+        assert out == ""
+        needed = 797_161 * (8 * 1024 + 65_536)  # packed rows and one run's bool cells
+        assert f"one block of 65536 trials needs {needed:,} bytes" in err
+        assert "internal error" not in err
 
     def test_empirical_cells_filled(self, capsys):
         code, out, _ = run_cli(

@@ -18,30 +18,30 @@ DOCUMENTS = {
     "protocol21": (
         "simulate --pf-min 0 --pf-max 1 --pf-steps 21 --orders 0,1,2 --trials 1e5 "
         "--workers 2",
-        "60437cf0ac7ad65ab8a2c30b69102dd05ee1154ff17c416373dfdcb97ba9c211",
+        "23d2930066387c62ec77d4805448d16792cfff629ebed32a9c3bab76abcb1e88",
     ),
     # rate-0 leaves under faulty voters: no error and no alarm can occur
     "fault_free_leaves_voter_faults": (
         "simulate --pf 0 --pfmb 0.1 --orders 0,1,2,3 --trials 5000",
-        "d8524c3e288355cdde3e7147e1344b9a1b51d6c4aec9825e3a5c3831b8d4b783",
+        "9cb552e3d8f6b4d58137afffc585f81515a83619cdbce7a54cc3c2bff6fc33e0",
     ),
     "always_wrong_leaves_voter_faults": (
         "simulate --pf 1 --pfmb 0.1 --orders 0,1,2 --trials 5000",
-        "2e15caa88222761e40e73dbeb2c81b2223ea1a155eb829c2679a75ef7882a3a1",
+        "c17a99180239ac4041b55447050ece52ede4c879acc060d005d2ecef9f274ad6",
     ),
     "order3_voter_faults": (
         "simulate --pf 0.1 --order 3 --pfmb pf --trials 20000 --seed 7",
-        "f88f2f0c8d6f6519cb9171a3784f0f9d8a61671bb3d88ce834fd843d13addd6a",
+        "63a775bf4d04fde3c5cab2b7ba6540fcba76d95abe1960a5f96674867a843f29",
     ),
     "scenario_nff_json": (
         "simulate --pf-min 0.1 --pf-max 0.3 --pf-steps 3 --orders 1,2 --scenario NFF "
         "--trials 20000 --seed 5 --format json",
-        "610683aff8aee1c45fc953f34e06ac16491624fb44940f2bafd643c32a077e05",
+        "a423ffe87f1c919b7b84044fe235384f70d9fd72235051cc8e693358ba935e73",
     ),
     "scenarios_trials": (
         "scenarios --pf-min 0.05 --pf-max 0.45 --pf-steps 3 --orders 1,2,3 "
         "--trials 10000 --seed 11",
-        "7b183b1ab66e0cca7b33222a9e0206e8bf5ef4eea007d22aa238bfac6ec7b904",
+        "958b8c49376175cf15cbe3531f122677e29188da9d088682e1b5b9da542c4f30",
     ),
     "analytic_pfmb_pf": (
         "analytic --pf-min 0 --pf-max 1 --pf-steps 11 --orders 0,1,2,3,4 --pfmb pf",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from htmr_lab.faults import (
+    _WORDS,
     RandomSource,
     SCENARIO_PATTERNS,
     ber_corrupt,
@@ -195,6 +196,59 @@ class TestBernoulli:
             assert np.array_equal(a, b)
             RandomSource(9, (1, 3)).bernoulli(b, rate)
             assert not np.array_equal(a, b)
+
+
+def unpacked(lanes, m):
+    """Packed rows as bools, one column per lane below ``m``."""
+    return np.unpackbits(lanes.view(np.uint8), axis=1, bitorder="little")[:, :m].astype(bool)
+
+
+class TestBernoulliLanes:
+    """``RandomSource.bernoulli_lanes``: marginals, pairs across lane edges, padding."""
+
+    ROWS, M = 2048, 1000  # 16 words a row, the last one 40 lanes wide
+
+    @staticmethod
+    def lanes(rate, rows, m, seed=2025):
+        out = np.empty((rows, -(-m // 64)), dtype=np.uint64)
+        RandomSource(seed).derive(int(rate * 1000)).bernoulli_lanes(out, m, rate)
+        return out
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.05, 0.1, 0.3, 0.45, 0.5, 0.55, 0.9, 1.0])
+    def test_lanes_are_independent_at_their_rate(self, rate):
+        # 32,768 words: the dyadic stage takes several steps of _WORDS words
+        assert self.ROWS * 16 > 2 * _WORDS
+        bits = unpacked(self.lanes(rate, self.ROWS, self.M), self.M)
+        check = TestBernoulli.within_five_sigma
+        check(int(bits.sum()), bits.size, rate, 0)
+        for first, second in (
+            (bits[:, 0:-1:2], bits[:, 1::2]),  # adjacent lanes of one word
+            (bits[:, 63::64], bits[:, 64::64]),  # lanes 63 and 64, across a word edge
+            (bits[:-1, -1], bits[1:, 0]),  # a row's last lane and the next row's first
+        ):
+            joint = int(np.count_nonzero(first & second))
+            check(joint, first.size, rate * rate, 0)
+
+    @pytest.mark.parametrize("m", [1, 7, 63, 65, 34_464])
+    def test_padding_lanes_are_clear(self, m):
+        for rate in (0.05, 0.3, 0.5, 0.55, 0.9, 1.0):
+            last = self.lanes(rate, 3, m)[:, -1]
+            assert not (last >> np.uint64(m % 64)).any(), rate
+
+    def test_below_one_thirty_second_the_lanes_are_packed_bernoulli_bits(self):
+        # a = 0: the dyadic stage draws nothing and the residual is the rate
+        for rate in (1e-3, 0.03, 0.99):
+            cells = np.empty(3 * 100, dtype=bool)
+            RandomSource(8).bernoulli(cells, rate)
+            out = np.empty((3, 2), dtype=np.uint64)
+            RandomSource(8).bernoulli_lanes(out, 100, rate)
+            assert np.array_equal(unpacked(out, 100), cells.reshape(3, 100)), rate
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_rates_zero_and_one_draw_nothing(self, rate):
+        rng = RandomSource(6)
+        rng.bernoulli_lanes(np.empty((2, 2), dtype=np.uint64), 100, rate)
+        assert rng.uniform() == RandomSource(6).uniform()
 
 
 class TestCalibration:

@@ -12,11 +12,11 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from htmr_lab import network
 from htmr_lab.faults import RandomSource, make_scenario
-from htmr_lab.faults import _POSITIONS
 from htmr_lab.network import (
     EmpiricalEstimate,
     FaultStatusCounter,
@@ -34,6 +34,11 @@ from htmr_lab.reliability import (
     pem_order,
     tree_error_probability,
 )
+
+
+def unpacked(lanes, m):
+    """A block's packed rows as bools: a row per fault bit, a column per trial."""
+    return np.unpackbits(lanes.view(np.uint8), axis=1, bitorder="little")[:, :m]
 
 
 class TestTopology:
@@ -213,7 +218,8 @@ class TestSimulateBit:
                 for k in range(3 ** order)
             ]
             net = build_network(order, leaves, voter_fault_rate=0.25)
-            hit = network._draw_block(network._draw_runs(net), 60, RandomSource(order), 0)
+            lanes = network._draw_block(network._draw_runs(net), 60, RandomSource(order), 0)
+            hit = unpacked(lanes, 60)
             for trial in range(60):
                 outcomes = []
                 for ref in (0, 1):
@@ -247,12 +253,10 @@ class TestRunTrialsDeterminism:
         # always set, between fractional ones, under voter faults; tiled at
         # order 3
         extremes = (0.0, 1.0, 0.45, 1.0, 0.0, 0.0, 0.3, 1.0, 0.0)
-        # nine leaf rows at 1/2 fill two sampler windows of _POSITIONS bits
-        crossing = 12_000
-        assert 9 * crossing > _POSITIONS
         # block widths around one 64-trial word: the zero padding lanes must
         # never err or alarm, not even beside rate-1 leaves, whose every real
-        # lane is set, or runs above 1/2, whose draws place the clear bits
+        # lane is set, runs above 1/2, whose rows are drawn inverted, or runs
+        # whose raw dyadic words set every lane, padding included
         lane_edges = [
             (net, n)
             for n in (1, 7, 63, 64, 65)
@@ -260,6 +264,7 @@ class TestRunTrialsDeterminism:
                 build_network(1, 1.0),
                 build_network(2, extremes, voter_fault_rate=0.35),
                 build_network(2, 0.7, voter_fault_rate=0.6),
+                build_network(2, 0.3, voter_fault_rate=0.45),
             )
         ]
         for net, n in lane_edges + [
@@ -269,15 +274,16 @@ class TestRunTrialsDeterminism:
             (build_network(2, extremes, voter_fault_rate=0.35), 700),
             (build_network(3, extremes, voter_fault_rate=0.2), 700),
             (build_network(2, 0.0, voter_fault_rate=0.5), 700),
-            # both runs above 1/2: their draws place the fault-free bits
+            # both runs above 1/2: their rows are drawn inverted
             (build_network(2, 0.7, voter_fault_rate=0.6), 700),
             (build_network(1, mixed, voter_fault_rate=0.3), 700),
-            (build_network(2, 0.5, voter_fault_rate=0.5), crossing),
+            # rate 1/2: one raw word per 64 lanes and no Poisson draw
+            (build_network(2, 0.5, voter_fault_rate=0.5), 12_000),
         ]:
             master = RandomSource(4242)
             estimate, counter = run_trials(net, n, master)
             # single block: block 0 carries all draws
-            hit = network._draw_block(network._draw_runs(net), n, master, 0)
+            hit = unpacked(network._draw_block(network._draw_runs(net), n, master, 0), n)
             errors = 0
             alarm_counts = [0] * net.voter_count
             for i in range(n):
@@ -308,7 +314,7 @@ class TestRunTrialsDeterminism:
             alarm_counts = [0] * net.voter_count
             for b in range(4):
                 m = min(block_size, n - b * block_size)
-                hit = network._draw_block(runs, m, RandomSource(77), b)
+                hit = unpacked(network._draw_block(runs, m, RandomSource(77), b), m)
                 for i in range(m):
                     out, alarms = simulate_bit(net, 0, hit[:, i])
                     errors += out
@@ -363,8 +369,8 @@ class TestRunTrialsDeterminism:
 
     def test_largest_trial_count_is_accepted(self, monkeypatch):
         # runs no trial: the first block to reach the kernel stops the call
-        def stop(net, hit, drawn):
-            raise RuntimeError(f"block of {hit.shape[1]} trials")
+        def stop(net, lanes, drawn):
+            raise RuntimeError(f"block of {64 * lanes.shape[1]} trials")
 
         monkeypatch.setattr(network, "_simulate_block", stop)
         with pytest.raises(RuntimeError, match="block of 65536 trials"):
@@ -403,10 +409,10 @@ class TestFanOut:
         simulate_block = network._simulate_block
         block_threads = []
 
-        def slow_block(net, hit, drawn):
+        def slow_block(net, lanes, drawn):
             block_threads.append(threading.get_ident())
             time.sleep(0.02)  # long enough for every started thread to claim a block
-            return simulate_block(net, hit, drawn)
+            return simulate_block(net, lanes, drawn)
 
         monkeypatch.setattr(network, "_simulate_block", slow_block)
         started = []
@@ -462,12 +468,12 @@ class TestFanOut:
         caller = threading.current_thread()
         raised = threading.Event()
 
-        def failing_block(net, hit, drawn):
+        def failing_block(net, lanes, drawn):
             if (threading.current_thread() is caller) == (raiser == "caller"):
                 raised.set()
                 raise RuntimeError("block failed")
             raised.wait(10)  # make sure the raising thread claims a block too
-            return simulate_block(net, hit, drawn)
+            return simulate_block(net, lanes, drawn)
 
         monkeypatch.setattr(network, "_simulate_block", failing_block)
         before = threading.active_count()
