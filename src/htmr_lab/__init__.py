@@ -26,11 +26,11 @@ from .harness import (
     table3_report,
 )
 from .network import (
-    DEFAULT_BLOCK_SIZE,
     EmpiricalEstimate,
     FaultStatusCounter,
     HealthReport,
     HtmrNetwork,
+    block_trials,
     build_network,
     health_report,
     run_trials,

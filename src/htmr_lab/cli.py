@@ -22,8 +22,8 @@ with ``--orders``, is a usage error; the library rejects values that break
 a model rule (a rate outside [0, 1], a trial count outside 1..2**63 - 1,
 a negative seed).
 Exit codes: 0 success, 2 usage/validation error (including an ``--out``
-path that cannot be written, and a simulation whose blocks need more memory
-than can be allocated), 1 internal error.
+path that cannot be written, and a simulation whose smallest block is over
+the cap or needs more memory than can be allocated), 1 internal error.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def cmd_simulate(args) -> OutputDocument:
         **_sweep_echo(cfg),
         pfmb=cfg.pfmb,
         trials=cfg.trials,
-        streams="derive(point,order,block)@4",
+        streams="derive(point,order,block)@5",
     )
     if args.scenario:
         meta["scenario"] = args.scenario
@@ -245,7 +245,7 @@ def cmd_scenarios(args) -> OutputDocument:
         "scenarios",
         **_sweep_echo(cfg),
         trials=cfg.trials,
-        streams="derive(scenario,point,order,block)@4",
+        streams="derive(scenario,point,order,block)@5",
     )
     return OutputDocument(meta=meta, columns=SWEEP_COLUMNS + ("scenario",), rows=rows)
 

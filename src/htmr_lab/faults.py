@@ -19,6 +19,7 @@ residual.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -79,10 +80,11 @@ _POSITIONS = 1 << 16
 
 # ``RandomSource.bernoulli_lanes`` draws rates in steps of 2**-_DYADIC_BITS a
 # word at a time, from at most _DYADIC_BITS raw words per output word, and
-# packs and draws rows in steps of at most _WORDS words, which bounds its
-# temporary words near 64 KiB.
+# draws rows in pieces of at most _WORDS words, which bounds its temporary
+# words near 64 KiB and its bool scratch at SCRATCH_CELLS cells (512 KiB).
 _DYADIC_BITS = 5
 _WORDS = 1 << 13
+SCRATCH_CELLS = 64 * _WORDS
 
 
 class RandomSource:
@@ -158,22 +160,26 @@ class RandomSource:
         """Fill the ``uint64`` rows ``out`` with ``m`` Bernoulli(``rate``) lanes each.
 
         ``out`` is C-contiguous. Lane t of a row is bit t % 64 of its word
-        t // 64; the padding lanes at t >= ``m`` are cleared. With
+        t // 64; the padding lanes at t >= ``m`` are cleared. The rows are
+        drawn piece by piece: a piece is whole rows of at most ``_WORDS``
+        words in all, or, where one row is longer, a word-aligned slice of
+        ``_WORDS`` words (the last one shorter) of one row. With
         r = min(``rate``, 1 - ``rate``), a = floor(r * 2**K) for
         K = ``_DYADIC_BITS``, r_K = a / 2**K and s = (r - r_K) / (1 - r_K)
-        (the subtraction is exact, so s < 1/16), the draw has two stages:
+        (the subtraction is exact, so s < 1/16), each piece is drawn in two
+        stages before the next one:
 
-        1. ``bernoulli`` fills ``m`` bool cells per row at s, in C order,
-           which are packed into the lanes in little bit order. ``cells``
-           is a flat bool scratch array of at least ``out.shape[0] * m``
-           cells, or ``None`` for a fresh one. At s = 0 nothing is drawn.
-        2. Bernoulli(r_K) words are ORed in, in steps of whole rows of at
-           most ``_WORDS`` words (one row where a row is longer). Each word
-           comes from at most K raw PCG64 words w, drawn a step at a time:
-           starting at the lowest set bit of a with x = w, every higher
-           bit of a takes x = w | x when set and x = w & x when clear
-           (after Knuth & Yao, 1976). Bit k of x is set with probability
-           a / 2**K and reads only bit k of every w.
+        1. ``bernoulli`` fills the piece's lanes below ``m`` as bool cells
+           at s, in C order, which are packed into the lanes in little bit
+           order. ``cells`` is a flat bool scratch array of at least
+           ``SCRATCH_CELLS`` cells, or of ``out.shape[0] * m`` where that is
+           fewer, or ``None`` for a fresh one. At s = 0 nothing is drawn.
+        2. Bernoulli(r_K) words are ORed in. Each word comes from at most K
+           raw PCG64 words w, drawn a piece at a time: starting at the
+           lowest set bit of a with x = w, every higher bit of a takes
+           x = w | x when set and x = w & x when clear (after Knuth & Yao,
+           1976). Bit k of x is set with probability a / 2**K and reads
+           only bit k of every w.
 
         A lane is then set with probability r_K + (1 - r_K) s = r,
         independently of every other lane, and above 1/2 the rows are
@@ -187,18 +193,21 @@ class RandomSource:
         r_k = a / (1 << _DYADIC_BITS)
         s = (r - r_k) / (1.0 - r_k)
         rows, words = out.shape
-        if s > 0.0:
-            cells = np.empty(rows * m, dtype=bool) if cells is None else cells[:rows * m]
-            self.bernoulli(cells, s)
-            cells = cells.reshape(rows, m)
+        if s > 0.0 and cells is None:
+            cells = np.empty(min(rows * m, SCRATCH_CELLS), dtype=bool)
         low = (a & -a).bit_length() - 1
         raw = self._gen.bit_generator.random_raw
-        step = max(1, _WORDS // words)
-        for lo in range(0, rows, step):
-            part = out[lo:lo + step]
+        # a piece is rows lo..hi - 1, words first..last - 1
+        step, span = max(1, _WORDS // words), min(words, _WORDS)
+        for lo, first in itertools.product(range(0, rows, step), range(0, words, span)):
+            hi, last = min(lo + step, rows), min(first + span, words)
+            part = out[lo:hi, first:last]
             if s > 0.0:
+                lanes = min(m, 64 * last) - 64 * first
+                bits = cells[:(hi - lo) * lanes]
+                self.bernoulli(bits, s)
                 # bytes past the packed cells hold only padding lanes, cleared below
-                packed = np.packbits(cells[lo:lo + step], axis=1, bitorder="little")
+                packed = np.packbits(bits.reshape(hi - lo, lanes), axis=1, bitorder="little")
                 part.view(np.uint8)[:, :packed.shape[1]] = packed
                 if sys.byteorder == "big":
                     part.byteswap(inplace=True)  # lane t is bit t % 64 of the word's value
@@ -214,7 +223,7 @@ class RandomSource:
                 part |= x.reshape(part.shape)
             if flip:
                 np.invert(part, out=part)
-            if m % 64:
+            if m % 64 and last == words:
                 part[:, -1] &= np.uint64((1 << m % 64) - 1)
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .faults import SCENARIO_PATTERNS, RandomSource, check_probability, make_scenario
-from .network import build_network, run_trials
+from .network import HtmrNetwork, block_trials, build_network, run_trials
 from .reliability import (
     check_order,
     operations_per_error,
@@ -192,21 +192,29 @@ def sweep_analytic(cfg: SweepConfig) -> list[ComparisonRow]:
 
 
 def _empirical_row(
-    cfg: SweepConfig, pf: float, order: int, stream: RandomSource
+    cfg: SweepConfig, pf: float, order: int, net: HtmrNetwork, stream: RandomSource
 ) -> ComparisonRow:
     row = _analytic_row(cfg, pf, order)
-    net = build_network(order, cfg.leaves_at(pf), voter_fault_rate=cfg.pfmb_at(pf))
-    estimate, _ = run_trials(net, cfg.trials, stream, workers=cfg.workers)
+    # the block width is passed by name: perfbench/tracer.py counts blocks from it
+    estimate, _ = run_trials(
+        net, cfg.trials, stream, workers=cfg.workers, block_size=block_trials(net)
+    )
     return replace(
         row, pe_hat=estimate.pe_hat, std_err=estimate.std_err, trials=estimate.trials
     )
 
 
 def _empirical_rows(cfg: SweepConfig, master: RandomSource) -> list[ComparisonRow]:
-    return [
-        _empirical_row(cfg, pf, order, master.derive(i, order))
+    units = [
+        (i, pf, order, build_network(order, cfg.leaves_at(pf), voter_fault_rate=cfg.pfmb_at(pf)))
         for i, pf in enumerate(cfg.pf_values())
         for order in cfg.orders
+    ]
+    for *_, net in units:
+        block_trials(net)  # refuses an order too large to simulate before any unit runs
+    return [
+        _empirical_row(cfg, pf, order, net, master.derive(i, order))
+        for i, pf, order, net in units
     ]
 
 

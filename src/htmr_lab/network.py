@@ -38,14 +38,23 @@ packed 64 trials to a ``uint64`` word (lane t is bit t % 64 of word
 t // 64). Consecutive rows at equal rates form a run (the faulty leaves at
 one rate, then the voters), and each run is drawn straight into its words
 by one ``RandomSource.bernoulli_lanes`` call on the block's stream, run
-after run, in two stages: a sparse Poisson residual on bool cells, packed,
-then bit-sliced words at the rate rounded down to a multiple of 1/32 ORed
-in. The sum is exact (see ``bernoulli_lanes``). A network with no fault
-bits draws nothing and derives no stream. Each thread of a ``run_trials``
-call draws every block it claims into one pair of flat buffers, packed
-rows and bool cells, allocated once per call; a block is a C-contiguous
-view of the front of the rows, so the sampler always fills the buffer
-itself.
+after run, piece by piece, in two stages per piece: a sparse Poisson
+residual on bool cells, packed, then bit-sliced words at the rate rounded
+down to a multiple of 1/32 ORed in. The sum is exact (see
+``bernoulli_lanes``). A network with no fault bits draws nothing and
+derives no stream. Each thread of a ``run_trials`` call draws every block
+it claims into one pair of flat buffers, packed rows and at most
+``SCRATCH_CELLS`` bool cells, allocated once per call; a block is a
+C-contiguous view of the front of the rows, so the sampler always fills
+the buffer itself.
+
+Work sizing: a block's width is ``block_trials(net)``, about
+``BLOCK_BYTES`` of packed rows, so every block of every network costs
+about the same to draw and vote, and its buffers stay near half a MiB
+whatever the order. A network whose 64-trial block would need more than
+``MAX_BLOCK_BYTES`` is refused before anything is drawn. A call starts
+helper threads only for at least ``BITS_PER_THREAD`` fault bits (trials
+times rows) a thread.
 
 Lane layout: each row is padded to whole words, and the sampler clears
 the padding lanes of every row, so they never err or alarm. Every level
@@ -63,7 +72,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faults import RandomSource, check_probability
+from .faults import SCRATCH_CELLS, RandomSource, check_probability
 from .reliability import check_leaves, check_order
 from .voting import alarm_signal, check_bit, majority_vote
 
@@ -77,14 +86,25 @@ __all__ = [
     "FaultStatusCounter",
     "HealthReport",
     "health_report",
-    "DEFAULT_BLOCK_SIZE",
+    "block_trials",
 ]
 
-# Trials per simulation block. Blocks are the unit of parallelism: threads
-# claim them by index and each draws from its own derived stream, so results
-# never depend on the worker count -- only on (stream key, network, trial
-# count).
-DEFAULT_BLOCK_SIZE = 1 << 16
+# Bytes of packed rows a block aims at. Blocks are the unit of parallelism:
+# threads claim them by index and each draws from its own derived stream, so
+# results never depend on the worker count -- only on (stream key, network,
+# trial count). Wide enough that per-block costs (a derived stream, a
+# sampler call per run) are small beside the draws, narrow enough that a
+# block's rows and the kernel's levels stay in cache.
+BLOCK_BYTES = 1 << 19
+
+# The most bytes one 64-trial block, a word per row, may need: order 15
+# with voter faults (172 MB) is the highest order that fits.
+MAX_BLOCK_BYTES = 1 << 28
+
+# Fault bits (trials times block rows) a call must draw for each thread it
+# runs on; below that a helper thread's start and its contention for the
+# interpreter cost more than it saves.
+BITS_PER_THREAD = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -300,15 +320,43 @@ def _draw_runs(net: HtmrNetwork) -> list[tuple[int, int, float]]:
     return runs
 
 
+def _block_rows(net: HtmrNetwork) -> int:
+    """Rows of one block: its fault bits, or its leaves where there are more.
+
+    The kernel's bottom level holds a row per leaf, drawn or not.
+    """
+    faulty = sum(rate > 0.0 for rate in net.leaves) * (net.leaf_count // len(net.leaves))
+    if net.voter_fault_rate > 0.0:
+        faulty += net.voter_count
+    return max(faulty, net.leaf_count)
+
+
+def block_trials(net: HtmrNetwork) -> int:
+    """Trials per block of ``net``: ``BLOCK_BYTES`` of packed block rows.
+
+    The width is rounded down to whole 64-trial words, and it is never
+    below one word. Raises ``ValueError``, naming the bytes, where one
+    64-trial block would need more than ``MAX_BLOCK_BYTES``.
+    """
+    row_bytes = 8 * _block_rows(net)
+    if row_bytes > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"one block of 64 trials at order {net.order} needs {row_bytes:,} bytes "
+            f"({row_bytes / 2**20:.1f} MiB) of packed rows, more than the "
+            f"{MAX_BLOCK_BYTES:,}-byte cap; simulate a lower order"
+        )
+    return 64 * max(1, BLOCK_BYTES // row_bytes)
+
+
 def _block_buffers(runs: list[tuple[int, int, float]], m: int):
     """One thread's buffers for blocks of up to ``m`` trials.
 
     Returns a flat ``uint64`` buffer for the packed rows and a flat bool
-    buffer for the Poisson stage of the widest run. Where they cannot be
+    buffer for the Poisson stage of one sampler piece. Where they cannot be
     allocated, the ``MemoryError`` names the bytes one block needs.
     """
     words = (runs[-1][1] if runs else 0) * -(-m // 64)
-    cells = max((hi - lo for lo, hi, _ in runs), default=0) * m
+    cells = min(max((hi - lo for lo, hi, _ in runs), default=0) * m, SCRATCH_CELLS)
     try:
         return np.empty(words, dtype=np.uint64), np.empty(cells, dtype=bool)
     except MemoryError:
@@ -353,29 +401,35 @@ def run_trials(
     n: int,
     rng: RandomSource,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    block_size: int | None = None,
 ) -> tuple[EmpiricalEstimate, FaultStatusCounter]:
     """Simulate ``n`` independent trials through the network.
 
-    Trials are processed in fixed blocks of ``block_size``; block ``b``
-    covers global trials [b * block_size, ...) and draws exclusively from
-    ``rng.derive(b)``. Partitioning therefore depends only on ``n`` and
-    ``block_size``, never on ``workers``: any worker count yields the
-    identical estimate and alarm counter. A network with no fault bits
-    derives no block stream. Errors are trials whose root
-    output differs from the reference bit. ``n`` lies in 1..2**63 - 1,
-    the range of the int64 alarm counters.
+    Trials are processed in fixed blocks of ``block_size`` trials,
+    ``block_trials(net)`` unless a test overrides it; block ``b`` covers
+    global trials [b * block_size, ...) and draws exclusively from
+    ``rng.derive(b)``. Partitioning therefore depends only on the network
+    and ``n``, never on ``workers``: any worker count yields the identical
+    estimate and alarm counter. A network with no fault bits derives no
+    block stream. Errors are trials whose root output differs from the
+    reference bit. ``n`` lies in 1..2**63 - 1, the range of the int64
+    alarm counters. A network too large for one 64-trial block (see
+    ``block_trials``) is refused before anything is drawn.
 
-    The calling thread and up to ``workers - 1`` helper threads, never more
-    threads in all than there are blocks or processors this process may
-    use, claim blocks by index. Each thread keeps integer running sums of
-    its blocks' errors and alarm counts, which are exact in any order, and
-    the call adds them up at the end, so memory does not grow with ``n``.
-    If a block raises, the threads stop claiming, every helper is joined
-    and the call raises that error.
+    The calling thread and up to ``workers - 1`` helper threads claim
+    blocks by index. There are never more threads in all than there are
+    blocks, processors this process may use, or multiples of
+    ``BITS_PER_THREAD`` in the call's fault bits (``n`` times the block
+    rows), so a small call runs on the caller alone. Each thread keeps
+    integer running sums of its blocks' errors and alarm counts, which are
+    exact in any order, and the call adds them up at the end, so memory
+    does not grow with ``n``. If a block raises, the threads stop
+    claiming, every helper is joined and the call raises that error.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"trial count must lie in 1..2**63 - 1, got {n}")
+    default = block_trials(net)  # refuses a network too large for any block
+    block_size = default if block_size is None else block_size
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     if workers < 1:
@@ -405,7 +459,8 @@ def run_trials(
             failures.append(exc)
         sums.append((errors, counts))
 
-    threads = min(workers, blocks, _processors())
+    paid = max(1, n * _block_rows(net) // BITS_PER_THREAD)
+    threads = min(workers, blocks, _processors(), paid)
     helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()

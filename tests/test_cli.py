@@ -114,6 +114,35 @@ class TestSimulate:
         _, out4, _ = run_cli(capsys, *base, "--workers", "4")
         assert out1 == out4
 
+    def test_multi_block_voter_faults_are_byte_identical_at_any_worker_count(
+        self, capsys, monkeypatch
+    ):
+        # order 3 with voter faults in three blocks of the network's width;
+        # with helpers for any work and three processors, every worker count
+        # really runs that many threads
+        net = network.build_network(3, 0.1, voter_fault_rate=0.1)
+        trials = 2 * network.block_trials(net) + 1000
+        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        monkeypatch.setattr(network, "_processors", lambda: 3)
+        started = []
+        start = network.threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(network.threading.Thread, "start", counted_start)
+        documents = []
+        for workers in (1, 2, 3):
+            code, out, _ = run_cli(
+                capsys, "simulate", "--order", "3", "--pf", "0.1", "--pfmb", "pf",
+                "--trials", str(trials), "--seed", "3", "--workers", str(workers),
+            )
+            assert code == 0
+            documents.append(out)
+        assert len(started) == 0 + 1 + 2
+        assert documents[0] == documents[1] == documents[2]
+
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--pf", "0.1", "--trials", "0")
         assert code == 2
@@ -176,15 +205,30 @@ class TestSimulate:
         assert out == ""
         assert "trial count must lie in 1..2**63 - 1" in err
 
-    def test_a_block_that_cannot_be_allocated_exits_2_naming_its_bytes(
+    def test_a_block_that_cannot_be_allocated_exits_2_naming_its_bytes(self, capsys):
+        # order 16 with voter faults draws 64,570,081 fault bits a trial, so
+        # even one 64-trial block, a word per row, is over the cap; it is
+        # refused before anything is drawn or allocated
+        code, out, err = run_cli(
+            capsys, "simulate", "--pf", "0.1", "--pfmb", "pf", "--orders", "0,16",
+            "--trials", "64",
+        )
+        assert code == 2
+        assert out == ""
+        assert "one block of 64 trials at order 16 needs 516,560,648 bytes" in err
+        assert f"{network.MAX_BLOCK_BYTES:,}-byte cap" in err
+        assert "internal error" not in err
+
+    def test_a_failed_allocation_under_the_cap_still_exits_2_naming_its_bytes(
         self, capsys, monkeypatch
     ):
-        # order 12 with voter faults draws 797,161 fault bits a trial; a
-        # stand-in allocation fails above 1 GiB, so no such block is requested
+        # order 12 with voter faults draws 797,161 fault bits a trial, so its
+        # blocks are 64 trials wide; a stand-in allocation fails above 1 MiB,
+        # which the block's packed rows exceed
         empty = np.empty
 
         def bounded_empty(shape, dtype=float):
-            if np.prod(shape) * np.dtype(dtype).itemsize > 1 << 30:
+            if np.prod(shape) * np.dtype(dtype).itemsize > 1 << 20:
                 raise MemoryError("cannot allocate")
             return empty(shape, dtype)
 
@@ -195,8 +239,8 @@ class TestSimulate:
         )
         assert code == 2
         assert out == ""
-        needed = 797_161 * (8 * 1024 + 65_536)  # packed rows and one run's bool cells
-        assert f"one block of 65536 trials needs {needed:,} bytes" in err
+        needed = 797_161 * 8 + 64 * 8192  # packed rows and one piece's bool cells
+        assert f"one block of 64 trials needs {needed:,} bytes" in err
         assert "internal error" not in err
 
     def test_empirical_cells_filled(self, capsys):

@@ -18,30 +18,30 @@ DOCUMENTS = {
     "protocol21": (
         "simulate --pf-min 0 --pf-max 1 --pf-steps 21 --orders 0,1,2 --trials 1e5 "
         "--workers 2",
-        "23d2930066387c62ec77d4805448d16792cfff629ebed32a9c3bab76abcb1e88",
+        "480822545c44565a64f1481db74e058d3584d28c747720d7ca6b308b8c11b92f",
     ),
     # rate-0 leaves under faulty voters: no error and no alarm can occur
     "fault_free_leaves_voter_faults": (
         "simulate --pf 0 --pfmb 0.1 --orders 0,1,2,3 --trials 5000",
-        "9cb552e3d8f6b4d58137afffc585f81515a83619cdbce7a54cc3c2bff6fc33e0",
+        "3168c5df9eaab069793c50e91fe77dd2ab1b5fde2693329ad27b73353e899eb6",
     ),
     "always_wrong_leaves_voter_faults": (
         "simulate --pf 1 --pfmb 0.1 --orders 0,1,2 --trials 5000",
-        "c17a99180239ac4041b55447050ece52ede4c879acc060d005d2ecef9f274ad6",
+        "03bd1ba0f672973ad2adaa771a3c8dce3a00f4ae124d31a0a013e6a94316a9d9",
     ),
     "order3_voter_faults": (
         "simulate --pf 0.1 --order 3 --pfmb pf --trials 20000 --seed 7",
-        "63a775bf4d04fde3c5cab2b7ba6540fcba76d95abe1960a5f96674867a843f29",
+        "5014e9b311665398b4ea177f434138d74be796928792a8f119c95ca6ad0a48b6",
     ),
     "scenario_nff_json": (
         "simulate --pf-min 0.1 --pf-max 0.3 --pf-steps 3 --orders 1,2 --scenario NFF "
         "--trials 20000 --seed 5 --format json",
-        "a423ffe87f1c919b7b84044fe235384f70d9fd72235051cc8e693358ba935e73",
+        "b7bda937db3586aa4bfe7c5559cce5bbd7a341f6afdd1d8e1e0a775c37063603",
     ),
     "scenarios_trials": (
         "scenarios --pf-min 0.05 --pf-max 0.45 --pf-steps 3 --orders 1,2,3 "
         "--trials 10000 --seed 11",
-        "958b8c49376175cf15cbe3531f122677e29188da9d088682e1b5b9da542c4f30",
+        "bf2f1c7ef5d4b54fb221093e95abeb52ca73e9b189f0edc13d47e1576453de42",
     ),
     "analytic_pfmb_pf": (
         "analytic --pf-min 0 --pf-max 1 --pf-steps 11 --orders 0,1,2,3,4 --pfmb pf",

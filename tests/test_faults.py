@@ -235,6 +235,25 @@ class TestBernoulliLanes:
             last = self.lanes(rate, 3, m)[:, -1]
             assert not (last >> np.uint64(m % 64)).any(), rate
 
+    @pytest.mark.parametrize("rate", [0.01, 0.3, 0.55, 0.9])
+    def test_a_row_split_into_pieces_keeps_its_rate_and_clears_its_padding(self, rate):
+        # rows of two whole pieces and a short third one, which ends in 47
+        # real lanes of its last word
+        words = 2 * _WORDS + 3
+        m = 64 * words - 17
+        out = self.lanes(rate, 2, m)
+        assert not (out[:, -1] >> np.uint64(m % 64)).any()
+        bits = unpacked(out, m)
+        check = TestBernoulli.within_five_sigma
+        edges = (0, 64 * _WORDS, 128 * _WORDS, m)
+        for lo, hi in zip(edges, edges[1:]):
+            piece = bits[:, lo:hi]
+            check(int(piece.sum()), piece.size, rate, 0)
+        # each piece draws its own bits: lane t of the first piece and lane t
+        # of the second are independent
+        first, second = bits[:, :edges[1]], bits[:, edges[1]:edges[2]]
+        check(int(np.count_nonzero(first & second)), first.size, rate * rate, 0)
+
     def test_below_one_thirty_second_the_lanes_are_packed_bernoulli_bits(self):
         # a = 0: the dyadic stage draws nothing and the residual is the rate
         for rate in (1e-3, 0.03, 0.99):

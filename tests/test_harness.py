@@ -140,8 +140,11 @@ class TestSweepMonteCarlo:
         assert sweep_monte_carlo(cfg) == sweep_monte_carlo(cfg)
 
     def test_worker_count_is_invisible_in_results(self, monkeypatch):
-        # 140,000 trials are three blocks per unit; pretend to have three
-        # processors so every worker count really runs that many threads
+        # blocks of 8 KiB of rows make 140,000 trials three blocks or more
+        # per unit; with helpers for any work and three processors, every
+        # worker count really runs that many threads
+        monkeypatch.setattr(network, "BLOCK_BYTES", 1 << 13)
+        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
         monkeypatch.setattr(network, "_processors", lambda: 3)
         runs = [
             sweep_monte_carlo(SweepConfig(pf_min=0.1, pf_max=0.3, pf_steps=3, orders=(0, 1, 2),
@@ -167,6 +170,8 @@ class TestScenarioSuite:
         assert all(r.pe == 0.0 for r in suite["NNF"])
 
     def test_worker_count_is_invisible_in_results(self, monkeypatch):
+        monkeypatch.setattr(network, "BLOCK_BYTES", 1 << 13)
+        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
         monkeypatch.setattr(network, "_processors", lambda: 3)
         runs = [
             scenario_suite(SweepConfig(pf_min=0.1, pf_max=0.3, pf_steps=3, orders=(1, 2),

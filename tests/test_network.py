@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from htmr_lab import network
-from htmr_lab.faults import RandomSource, make_scenario
+from htmr_lab.faults import SCRATCH_CELLS, RandomSource, make_scenario
 from htmr_lab.network import (
     EmpiricalEstimate,
     FaultStatusCounter,
+    block_trials,
     build_network,
     health_report,
     run_trials,
@@ -328,9 +329,11 @@ class TestRunTrialsDeterminism:
         second = run_trials(net, 10_000, RandomSource(7))
         assert first == second
 
-    def test_worker_count_never_changes_results(self):
+    def test_worker_count_never_changes_results(self, monkeypatch):
         net = build_network(2, 0.1, voter_fault_rate=0.05)
-        n = 150_000  # spans multiple blocks
+        n = 2 * block_trials(net) + 5  # spans multiple blocks
+        # a helper thread for any work, so every worker count runs its threads
+        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
         baseline = run_trials(net, n, RandomSource(7), workers=1)
         for workers in (2, 4):
             assert run_trials(net, n, RandomSource(7), workers=workers) == baseline
@@ -344,7 +347,7 @@ class TestRunTrialsDeterminism:
 
     def test_a_network_without_fault_bits_draws_nothing(self, monkeypatch):
         calls = []
-        for name in ("derive", "uniforms", "bernoulli"):
+        for name in ("derive", "uniforms", "bernoulli", "bernoulli_lanes"):
             method = getattr(RandomSource, name)
 
             def counted(self, *args, _name=name, _method=method):
@@ -352,11 +355,13 @@ class TestRunTrialsDeterminism:
                 return _method(self, *args)
 
             monkeypatch.setattr(RandomSource, name, counted)
-        estimate, counter = run_trials(build_network(2, 0.0), 200_000, RandomSource(0))
+        # four blocks: both networks have a row per leaf, so equal widths
+        n = 3 * block_trials(build_network(2, 0.1)) + 1
+        estimate, counter = run_trials(build_network(2, 0.0), n, RandomSource(0))
         assert calls == []
         assert estimate.errors == 0 and counter.alarm_counts == (0,) * 4
-        run_trials(build_network(2, 0.1), 200_000, RandomSource(0))
-        assert calls.count("derive") == 4 and calls.count("bernoulli") == 4
+        run_trials(build_network(2, 0.1), n, RandomSource(0))
+        assert calls.count("derive") == 4 and calls.count("bernoulli_lanes") == 4
 
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):
@@ -373,8 +378,9 @@ class TestRunTrialsDeterminism:
             raise RuntimeError(f"block of {64 * lanes.shape[1]} trials")
 
         monkeypatch.setattr(network, "_simulate_block", stop)
-        with pytest.raises(RuntimeError, match="block of 65536 trials"):
-            run_trials(build_network(1, 0.1), 2**63 - 1, RandomSource(0))
+        net = build_network(1, 0.1)
+        with pytest.raises(RuntimeError, match=f"block of {block_trials(net)} trials"):
+            run_trials(net, 2**63 - 1, RandomSource(0))
 
     def test_memory_does_not_grow_with_the_block_count(self):
         net = build_network(1, 0.1)
@@ -388,20 +394,50 @@ class TestRunTrialsDeterminism:
         assert peaks[3] - peaks[2] < 50_000
 
     def test_one_block_peaks_near_its_fault_bit_matrix(self):
-        # one 65,536-trial order-4 block with voter faults holds 121 bool
-        # fault-bit rows of a byte per trial; its packed rows and levels take
-        # a bit per trial, so the block needs little beyond the bool matrix
+        # one order-4 block with voter faults holds 121 packed fault-bit rows
+        # and the sampler's bool scratch of one piece; the kernel's levels
+        # take a third of the leaf rows and less, so the block needs little
+        # beyond the two
         net = build_network(4, 0.1, voter_fault_rate=0.1)
-        run_trials(net, 1 << 16, RandomSource(4))  # warms caches up
+        m = block_trials(net)
+        run_trials(net, m, RandomSource(4))  # warms caches up
         tracemalloc.start()
-        run_trials(net, 1 << 16, RandomSource(4))
+        run_trials(net, m, RandomSource(4))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= 1.3 * 121 * (1 << 16)
+        assert peak <= 1.6 * (121 * m // 8 + SCRATCH_CELLS)
+
+    @pytest.mark.parametrize(
+        "net",
+        [build_network(0, 0.3), build_network(4, 0.1, voter_fault_rate=0.1)],
+        ids=["order0_long_row", "order4_voter_faults"],
+    )
+    def test_cell_scratch_is_bounded_by_one_piece(self, monkeypatch, net):
+        # an order-0 block's one row is longer than a piece, and an order-4
+        # block's leaf run is many rows: neither asks for more than one
+        # piece's cells
+        cells = []
+        bernoulli = RandomSource.bernoulli
+
+        def counted(self, out, rate):
+            cells.append(out.size)
+            bernoulli(self, out, rate)
+
+        monkeypatch.setattr(RandomSource, "bernoulli", counted)
+        m = block_trials(net)
+        _, scratch = network._block_buffers(network._draw_runs(net), m)
+        assert scratch.size <= SCRATCH_CELLS
+        run_trials(net, m, RandomSource(4))
+        assert cells and max(cells) <= SCRATCH_CELLS
 
 
 class TestFanOut:
     """The calling thread and its helpers claim blocks; processors cap them."""
+
+    @pytest.fixture(autouse=True)
+    def helpers_for_any_work(self, monkeypatch):
+        # these small calls would run on the caller alone (see TestThreadGate)
+        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
 
     def record_threads(self, monkeypatch, processors):
         """Pretend to have ``processors``; log each block's thread and each start."""
@@ -480,6 +516,34 @@ class TestFanOut:
         with pytest.raises(RuntimeError, match="block failed"):
             run_trials(build_network(1, 0.3), 8 * 256, RandomSource(3), workers=2, block_size=256)
         assert threading.active_count() == before
+
+
+class TestThreadGate:
+    """Helper threads start only for calls with enough fault bits to pay."""
+
+    def test_the_gate_runs_small_units_on_the_caller_alone(self, monkeypatch):
+        # a protocol21 unit (order 2 at 10**6 trials, 9 rows) starts no helper
+        # and the deep_voterfault unit (order 4 with voter faults at 2 * 10**6
+        # trials, 121 rows) starts one; the blocks themselves are stubbed out
+        monkeypatch.setattr(network, "_processors", lambda: 2)
+        monkeypatch.setattr(network, "_draw_block", lambda *args: None)
+        monkeypatch.setattr(
+            network, "_simulate_block",
+            lambda net, lanes, drawn: (0, np.zeros(net.voter_count, dtype=np.int64)),
+        )
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        run_trials(build_network(2, 0.5), 10**6, RandomSource(0), workers=2)
+        assert started == []
+        run_trials(build_network(4, 0.1, voter_fault_rate=0.1), 2 * 10**6, RandomSource(0),
+                   workers=2)
+        assert len(started) == 1
 
 
 class TestMasking:
