@@ -151,7 +151,8 @@ def _parse_pfmb(text: str):
 
 def _grid_from_args(args) -> tuple[float, float, int, str]:
     has_point = args.pf is not None
-    has_grid = args.pf_min is not None or args.pf_max is not None
+    grid = (args.pf_min, args.pf_max, args.pf_steps, args.pf_scale)
+    has_grid = any(value is not None for value in grid)
     if has_point and has_grid:
         raise ValueError("give either --pf or a --pf-min/--pf-max grid, not both")
     if has_point:
@@ -159,7 +160,8 @@ def _grid_from_args(args) -> tuple[float, float, int, str]:
     if has_grid:
         if args.pf_min is None or args.pf_max is None:
             raise ValueError("a grid needs both --pf-min and --pf-max")
-        return (args.pf_min, args.pf_max, args.pf_steps, args.pf_scale)
+        steps = 21 if args.pf_steps is None else args.pf_steps
+        return (args.pf_min, args.pf_max, steps, args.pf_scale or "lin")
     raise ValueError("give --pf or a --pf-min/--pf-max grid")
 
 
@@ -301,8 +303,8 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pf", type=float, default=None)
     parser.add_argument("--pf-min", type=float, default=None)
     parser.add_argument("--pf-max", type=float, default=None)
-    parser.add_argument("--pf-steps", type=int, default=21)
-    parser.add_argument("--pf-scale", choices=("lin", "log"), default="lin")
+    parser.add_argument("--pf-steps", type=int, default=None)
+    parser.add_argument("--pf-scale", choices=("lin", "log"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,12 +9,11 @@ errors are out of scope.
 Randomness comes from ``RandomSource``, a deterministic stream keyed by a
 master seed plus a derivation path, so any simulation is bit-reproducible
 from its seed and independent sub-streams can be handed to parallel
-workers. Besides uniform draws it fills arrays of independent fault bits
-at one rate with ``bernoulli``, at a cost that grows with the number of
-faults rather than with the number of bits (Poisson splitting), and packed
-rows of 64-trial ``uint64`` words with ``bernoulli_lanes``, which draws most
-of a rate's bits a word at a time and leaves Poisson splitting a small
-residual.
+workers. Besides uniform draws it fills packed rows of 64-trial ``uint64``
+words with independent fault bits at one rate (``bernoulli_lanes``): most
+of a rate's bits are drawn a word at a time, and a small residual is drawn
+by Poisson splitting, at a cost that grows with the number of faults rather
+than with the number of bits.
 """
 
 from __future__ import annotations
@@ -25,16 +24,12 @@ import sys
 
 import numpy as np
 
-from .voting import check_bit
-
 __all__ = [
     "check_integer",
     "check_probability",
     "SCENARIO_PATTERNS",
     "make_scenario",
     "RandomSource",
-    "ber_corrupt",
-    "module_output",
 ]
 
 
@@ -72,10 +67,11 @@ def make_scenario(pattern: str, rate: float) -> tuple[float, float, float]:
     return tuple(rate if c == "F" else 0.0 for c in pattern)
 
 
-# ``RandomSource.bernoulli`` expects at most 0.7 * _POSITIONS positions per
-# window (ln 4 * _POSITIONS / 2, at rate 1/2). That bounds its int64 index
-# array near 360 KiB however many faults a block holds, and keeps each
-# window's scattered writes within a cache-sized stretch of the output.
+# ``RandomSource._bernoulli`` expects at most 0.52 * _POSITIONS positions per
+# window (-8 ln(15/16) * _POSITIONS, at its highest rate 1/16). That bounds
+# its int64 index array near 270 KiB however many faults a block holds, and
+# keeps each window's scattered writes within a cache-sized stretch of the
+# output.
 _POSITIONS = 1 << 16
 
 # ``RandomSource.bernoulli_lanes`` draws rates in steps of 2**-_DYADIC_BITS a
@@ -128,31 +124,26 @@ class RandomSource:
         """Array of uniform draws, consumed from the stream in C order."""
         return self._gen.random(shape)
 
-    def bernoulli(self, out: np.ndarray, rate: float) -> None:
+    def _bernoulli(self, out: np.ndarray, rate: float) -> None:
         """Fill the flat bool array ``out`` with independent Bernoulli(``rate``) bits.
 
-        Poisson splitting: with r = min(``rate``, 1 - ``rate``), ``out`` is
-        cut into windows of ``_POSITIONS / (2 r)`` bits, the last one
-        shorter. A window of w bits draws k ~ Poisson(-w ln(1 - r)) and sets
-        k positions drawn uniformly from its bits, duplicates allowed; above
-        1/2 the positions mark the bits that stay clear. Each bit's hit
-        count is then an independent Poisson(-ln(1 - r)), so each bit is
-        set with probability exactly r, independently of the others
-        (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
-        At rate 0 or 1 nothing is drawn.
+        ``bernoulli_lanes``' residual stage, at 0 < ``rate`` < 1/16. Poisson
+        splitting: ``out`` is cut into windows of ``_POSITIONS / (2 rate)``
+        bits, the last one shorter. A window of w bits draws
+        k ~ Poisson(-w ln(1 - rate)) and sets k positions drawn uniformly
+        from its bits, duplicates allowed. Each bit's hit count is then an
+        independent Poisson(-ln(1 - rate)), so each bit is set with
+        probability exactly ``rate``, independently of the others (Devroye,
+        *Non-Uniform Random Variate Generation*, 1986, ch. X).
         """
-        rate = check_probability("rate", rate)
-        flip = rate > 0.5
-        r = 1.0 - rate if flip else rate  # exact: 1 - rate is representable above 1/2
-        out.fill(flip)
-        if r == 0.0:
-            return
-        hits_per_bit = -math.log1p(-r)
-        window = max(1, int(min(out.size, _POSITIONS / 2 / r)))  # 1/r overflows below ~1e-304
+        out.fill(False)
+        hits_per_bit = -math.log1p(-rate)
+        # the window is at most ``out``, as 1/rate overflows below ~1e-304
+        window = max(1, int(min(out.size, _POSITIONS / 2 / rate)))
         for lo in range(0, out.size, window):
             bits = out[lo:lo + window]
             k = self._gen.poisson(bits.size * hits_per_bit)
-            bits[self._gen.integers(0, bits.size, k)] = not flip
+            bits[self._gen.integers(0, bits.size, k)] = True
 
     def bernoulli_lanes(
         self, out: np.ndarray, m: int, rate: float, cells: np.ndarray | None = None
@@ -169,7 +160,7 @@ class RandomSource:
         (the subtraction is exact, so s < 1/16), each piece is drawn in two
         stages before the next one:
 
-        1. ``bernoulli`` fills the piece's lanes below ``m`` as bool cells
+        1. ``_bernoulli`` fills the piece's lanes below ``m`` as bool cells
            at s, in C order, which are packed into the lanes in little bit
            order. ``cells`` is a flat bool scratch array of at least
            ``SCRATCH_CELLS`` cells, or of ``out.shape[0] * m`` where that is
@@ -183,7 +174,7 @@ class RandomSource:
 
         A lane is then set with probability r_K + (1 - r_K) s = r,
         independently of every other lane, and above 1/2 the rows are
-        inverted. Below rate 1/32 (a = 0) the draw is ``bernoulli`` at r
+        inverted. Below rate 1/32 (a = 0) the draw is ``_bernoulli`` at r
         alone, and at rate 1/2 it is one raw word per 64 lanes.
         """
         rate = check_probability("rate", rate)
@@ -205,7 +196,7 @@ class RandomSource:
             if s > 0.0:
                 lanes = min(m, 64 * last) - 64 * first
                 bits = cells[:(hi - lo) * lanes]
-                self.bernoulli(bits, s)
+                self._bernoulli(bits, s)
                 # bytes past the packed cells hold only padding lanes, cleared below
                 packed = np.packbits(bits.reshape(hi - lo, lanes), axis=1, bitorder="little")
                 part.view(np.uint8)[:, :packed.shape[1]] = packed
@@ -228,25 +219,3 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self._seed}, path={self._path})"
-
-
-def ber_corrupt(bit: int, rate: float, rng: RandomSource) -> int:
-    """Bernoulli bit-inversion stage: invert ``bit`` with probability ``rate``.
-
-    Consumes exactly one draw from ``rng`` regardless of the outcome.
-    """
-    bit = check_bit("bit", bit)
-    rate = check_probability("rate", rate)
-    return bit ^ int(rng.uniform() < rate)
-
-
-def module_output(rate: float, reference_bit: int, rng: RandomSource) -> int:
-    """Output of one module erring at ``rate``, given the reference bit.
-
-    A module at rate 0 returns the reference unchanged and consumes no
-    draw; any other module consumes exactly one, so trial alignment is
-    reproducible from the rates alone.
-    """
-    if rate == 0.0:
-        return check_bit("reference_bit", reference_bit)
-    return ber_corrupt(reference_bit, rate, rng)

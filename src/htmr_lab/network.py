@@ -373,22 +373,19 @@ def _draw_block(
     m: int,
     rng: RandomSource,
     b: int,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    buffers: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Block ``b``'s fault bits for ``m`` trials, packed: a row per bit, a lane per trial.
 
-    The rows fill the front of the ``_block_buffers`` pair ``buffers`` when
-    one is given, else fresh arrays. Each run of rows is drawn in place by
-    ``RandomSource.bernoulli_lanes`` from ``rng.derive(b)``, run after run;
-    with no runs nothing is derived or drawn.
+    The rows fill the front of the ``_block_buffers`` pair ``buffers``.
+    Each run of rows is drawn in place by ``RandomSource.bernoulli_lanes``
+    from ``rng.derive(b)``, run after run; with no runs nothing is derived
+    or drawn.
     """
     rows = runs[-1][1] if runs else 0
     words = -(-m // 64)
     # a C-contiguous view, so each run's rows are a view the sampler fills
-    if buffers is None:
-        lanes, cells = np.empty((rows, words), dtype=np.uint64), None
-    else:
-        lanes, cells = buffers[0][:rows * words].reshape(rows, words), buffers[1]
+    lanes, cells = buffers[0][:rows * words].reshape(rows, words), buffers[1]
     if runs:
         stream = rng.derive(b)
         for lo, hi, rate in runs:

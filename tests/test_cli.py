@@ -81,9 +81,15 @@ class TestAnalytic:
         assert [row.split(",")[0] for row in rows] == ["0.1", "0.3", "0.5"]
 
     def test_grid_and_point_conflict(self, capsys):
-        code, _, err = run_cli(capsys, "analytic", "--pf", "0.1", "--pf-min", "0.1")
-        assert code == 2
-        assert "not both" in err
+        # --pf-steps and --pf-scale shape a grid, so a point cannot take them
+        for argv in (
+            ("analytic", "--pf", "0.1", "--pf-min", "0.1"),
+            ("simulate", "--pf", "0.1", "--pf-steps", "3", "--orders", "1", "--trials", "10"),
+            ("simulate", "--pf", "0.1", "--pf-scale", "log", "--orders", "1", "--trials", "10"),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert "not both" in err, argv
 
     @pytest.mark.parametrize("argv", [
         ("analytic", "--pf", "0.999999999", "--orders", "1,2,3"),

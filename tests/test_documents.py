@@ -29,6 +29,11 @@ DOCUMENTS = {
         "simulate --pf 1 --pfmb 0.1 --orders 0,1,2 --trials 5000",
         "03bd1ba0f672973ad2adaa771a3c8dce3a00f4ae124d31a0a013e6a94316a9d9",
     ),
+    # every rate below 1/32: the sampler draws only its Poisson residual
+    "residual_only_low_rates": (
+        "simulate --pf 0.01 --pfmb 0.02 --orders 0,1,2,3 --trials 20000 --seed 9",
+        "5fc6f6387266822ab242579c6668b2c51c304078a42fc6e7c781a21baca56542",
+    ),
     "order3_voter_faults": (
         "simulate --pf 0.1 --order 3 --pfmb pf --trials 20000 --seed 7",
         "5014e9b311665398b4ea177f434138d74be796928792a8f119c95ca6ad0a48b6",

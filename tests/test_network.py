@@ -219,7 +219,9 @@ class TestSimulateBit:
                 for k in range(3 ** order)
             ]
             net = build_network(order, leaves, voter_fault_rate=0.25)
-            lanes = network._draw_block(network._draw_runs(net), 60, RandomSource(order), 0)
+            runs = network._draw_runs(net)
+            buffers = network._block_buffers(runs, 60)
+            lanes = network._draw_block(runs, 60, RandomSource(order), 0, buffers)
             hit = unpacked(lanes, 60)
             for trial in range(60):
                 outcomes = []
@@ -284,7 +286,9 @@ class TestRunTrialsDeterminism:
             master = RandomSource(4242)
             estimate, counter = run_trials(net, n, master)
             # single block: block 0 carries all draws
-            hit = unpacked(network._draw_block(network._draw_runs(net), n, master, 0), n)
+            runs = network._draw_runs(net)
+            lanes = network._draw_block(runs, n, master, 0, network._block_buffers(runs, n))
+            hit = unpacked(lanes, n)
             errors = 0
             alarm_counts = [0] * net.voter_count
             for i in range(n):
@@ -300,7 +304,8 @@ class TestRunTrialsDeterminism:
     def test_reused_block_buffers_match_fresh_blocks(self, workers):
         # three full blocks and a short one, each thread drawing into its one
         # buffer: stale bits of an earlier block, or a sampler filling a copy
-        # of the buffer, would change the counts
+        # of the buffer, would change the counts against blocks drawn into
+        # freshly allocated buffers
         block_size = 256
         n = 3 * block_size + 5
         for net in (
@@ -315,7 +320,8 @@ class TestRunTrialsDeterminism:
             alarm_counts = [0] * net.voter_count
             for b in range(4):
                 m = min(block_size, n - b * block_size)
-                hit = unpacked(network._draw_block(runs, m, RandomSource(77), b), m)
+                buffers = network._block_buffers(runs, m)
+                hit = unpacked(network._draw_block(runs, m, RandomSource(77), b, buffers), m)
                 for i in range(m):
                     out, alarms = simulate_bit(net, 0, hit[:, i])
                     errors += out
@@ -347,7 +353,7 @@ class TestRunTrialsDeterminism:
 
     def test_a_network_without_fault_bits_draws_nothing(self, monkeypatch):
         calls = []
-        for name in ("derive", "uniforms", "bernoulli", "bernoulli_lanes"):
+        for name in ("derive", "uniforms", "_bernoulli", "bernoulli_lanes"):
             method = getattr(RandomSource, name)
 
             def counted(self, *args, _name=name, _method=method):
@@ -417,13 +423,13 @@ class TestRunTrialsDeterminism:
         # block's leaf run is many rows: neither asks for more than one
         # piece's cells
         cells = []
-        bernoulli = RandomSource.bernoulli
+        bernoulli = RandomSource._bernoulli
 
         def counted(self, out, rate):
             cells.append(out.size)
             bernoulli(self, out, rate)
 
-        monkeypatch.setattr(RandomSource, "bernoulli", counted)
+        monkeypatch.setattr(RandomSource, "_bernoulli", counted)
         m = block_trials(net)
         _, scratch = network._block_buffers(network._draw_runs(net), m)
         assert scratch.size <= SCRATCH_CELLS

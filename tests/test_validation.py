@@ -6,13 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from htmr_lab.faults import (
-    RandomSource,
-    ber_corrupt,
-    check_probability,
-    make_scenario,
-    module_output,
-)
+from htmr_lab.faults import RandomSource, check_probability, make_scenario
 from htmr_lab.harness import SweepConfig, reduction_claims_check
 from htmr_lab.network import FaultStatusCounter, build_network, health_report, simulate_bit
 from htmr_lab.reliability import (
@@ -46,18 +40,14 @@ BIT_ENTRIES = {
     "alarm_signal": lambda v, rng: alarm_signal((1, v, 0)),
     "vote_with_alarm": lambda v, rng: vote_with_alarm((0, 1, v)),
     "flipflop_step": lambda v, rng: flipflop_step(TmrRegister(), (v, 1, 1)),
-    "ber_corrupt": lambda v, rng: ber_corrupt(v, 0.5, rng),
-    "module_output/fault-free": lambda v, rng: module_output(0.0, v, rng),
-    "module_output/faulty": lambda v, rng: module_output(0.5, v, rng),
     "simulate_bit": lambda v, rng: simulate_bit(build_network(1, 0.5, 0.5), v, (0,) * 4),
 }
 
 PROBABILITY_ENTRIES = {
     "check_probability": lambda p, rng: check_probability("p", p),
     "make_scenario": lambda p, rng: make_scenario("NFF", p),
-    "module_output": lambda p, rng: module_output(p, 0, rng),
-    "ber_corrupt": lambda p, rng: ber_corrupt(0, p, rng),
-    "RandomSource.bernoulli": lambda p, rng: rng.bernoulli(np.empty(4, dtype=bool), p),
+    "RandomSource.bernoulli_lanes":
+        lambda p, rng: rng.bernoulli_lanes(np.empty((1, 1), dtype=np.uint64), 4, p),
     "pe_first": lambda p, rng: pe_first(p),
     "pem_first/pf": lambda p, rng: pem_first(p, 0.1),
     "pem_first/pfmb": lambda p, rng: pem_first(0.1, p),
@@ -111,7 +101,5 @@ def test_numpy_integers_are_bits(one):
     assert check_bit("bit", one) == 1 and type(check_bit("bit", one)) is int
     assert TripleInput(one, 0, one).as_tuple() == (1, 0, 1)
     assert majority_vote(np.array([one, 0, one])) == 1
-    assert ber_corrupt(one, 0.0, RandomSource(0)) == 1
-    assert module_output(0.0, one, RandomSource(0)) == 1
     out, _ = simulate_bit(build_network(1, 0.0), one, ())
     assert out == 1
