@@ -67,13 +67,6 @@ def make_scenario(pattern: str, rate: float) -> tuple[float, float, float]:
     return tuple(rate if c == "F" else 0.0 for c in pattern)
 
 
-# ``RandomSource._bernoulli`` expects at most 0.52 * _POSITIONS positions per
-# window (-8 ln(15/16) * _POSITIONS, at its highest rate 1/16). That bounds
-# its int64 index array near 270 KiB however many faults a block holds, and
-# keeps each window's scattered writes within a cache-sized stretch of the
-# output.
-_POSITIONS = 1 << 16
-
 # ``RandomSource.bernoulli_lanes`` draws rates in steps of 2**-_DYADIC_BITS a
 # word at a time, from at most _DYADIC_BITS raw words per output word, and
 # draws rows in pieces of at most _WORDS words, which bounds its temporary
@@ -127,27 +120,20 @@ class RandomSource:
     def _bernoulli(self, out: np.ndarray, rate: float) -> None:
         """Fill the flat bool array ``out`` with independent Bernoulli(``rate``) bits.
 
-        ``bernoulli_lanes``' residual stage, at 0 < ``rate`` < 1/16. Poisson
-        splitting: ``out`` is cut into windows of ``_POSITIONS / (2 rate)``
-        bits, the last one shorter. A window of w bits draws
-        k ~ Poisson(-w ln(1 - rate)) and sets k positions drawn uniformly
-        from its bits, duplicates allowed. Each bit's hit count is then an
+        ``bernoulli_lanes``' residual stage, at 0 < ``rate`` < 1/16 on at
+        most ``SCRATCH_CELLS`` bits, so it expects fewer than 34,000
+        positions. Poisson splitting: ``out``'s n bits draw
+        k ~ Poisson(-n ln(1 - rate)) and set k positions drawn uniformly
+        from them, duplicates allowed. Each bit's hit count is then an
         independent Poisson(-ln(1 - rate)), so each bit is set with
         probability exactly ``rate``, independently of the others (Devroye,
         *Non-Uniform Random Variate Generation*, 1986, ch. X).
         """
         out.fill(False)
-        hits_per_bit = -math.log1p(-rate)
-        # the window is at most ``out``, as 1/rate overflows below ~1e-304
-        window = max(1, int(min(out.size, _POSITIONS / 2 / rate)))
-        for lo in range(0, out.size, window):
-            bits = out[lo:lo + window]
-            k = self._gen.poisson(bits.size * hits_per_bit)
-            bits[self._gen.integers(0, bits.size, k)] = True
+        k = self._gen.poisson(-out.size * math.log1p(-rate))
+        out[self._gen.integers(0, out.size, k)] = True
 
-    def bernoulli_lanes(
-        self, out: np.ndarray, m: int, rate: float, cells: np.ndarray | None = None
-    ) -> None:
+    def bernoulli_lanes(self, out: np.ndarray, m: int, rate: float, cells: np.ndarray) -> None:
         """Fill the ``uint64`` rows ``out`` with ``m`` Bernoulli(``rate``) lanes each.
 
         ``out`` is C-contiguous. Lane t of a row is bit t % 64 of its word
@@ -164,7 +150,7 @@ class RandomSource:
            at s, in C order, which are packed into the lanes in little bit
            order. ``cells`` is a flat bool scratch array of at least
            ``SCRATCH_CELLS`` cells, or of ``out.shape[0] * m`` where that is
-           fewer, or ``None`` for a fresh one. At s = 0 nothing is drawn.
+           fewer. At s = 0 nothing is drawn and ``cells`` is not touched.
         2. Bernoulli(r_K) words are ORed in. Each word comes from at most K
            raw PCG64 words w, drawn a piece at a time: starting at the
            lowest set bit of a with x = w, every higher bit of a takes
@@ -184,8 +170,6 @@ class RandomSource:
         r_k = a / (1 << _DYADIC_BITS)
         s = (r - r_k) / (1.0 - r_k)
         rows, words = out.shape
-        if s > 0.0 and cells is None:
-            cells = np.empty(min(rows * m, SCRATCH_CELLS), dtype=bool)
         low = (a & -a).bit_length() - 1
         raw = self._gen.bit_generator.random_raw
         # a piece is rows lo..hi - 1, words first..last - 1

@@ -214,11 +214,7 @@ def proposition_check(pf: float, j_max: int) -> PropositionReport:
     if j_max < 2:
         raise ValueError("proposition_check needs j_max >= 2 to compare levels")
     p = check_probability("pf", pf)
-    entries = []
-    value = p
-    for j in range(1, j_max + 1):
-        value = pe_first(value)
-        entries.append((j, value))
+    entries = [(j, pe_order(j, p)) for j in range(1, j_max + 1)]
     comparisons = tuple(
         (entries[k][0], entries[k][1] < entries[k - 1][1])
         for k in range(1, len(entries))
@@ -268,7 +264,7 @@ class ExpansionAudit:
 def expansion_audit(pf_samples: Iterable[float]) -> ExpansionAudit:
     """Audit the claimed degree-9 expansion of the order-2 error polynomial.
 
-    For each sample the composition ``pe_first(pe_first(p))`` (the
+    For each sample the exact order-2 value ``pe_order(2, p)`` (the
     authoritative form) is evaluated next to the claimed coefficient set,
     and the absolute deviation is reported together with the exact
     coefficients a correct expansion must have.
@@ -276,7 +272,7 @@ def expansion_audit(pf_samples: Iterable[float]) -> ExpansionAudit:
     samples = []
     for p in pf_samples:
         p = check_probability("pf sample", p)
-        composed = pe_first(pe_first(p))
+        composed = pe_order(2, p)
         claimed = evaluate_power_series(CLAIMED_ORDER2_EXPANSION, p)
         samples.append(
             ExpansionSample(

@@ -53,6 +53,12 @@ DOCUMENTS = {
         "b264e4c0c54a9b9e545de1502f97bdef63abedff059927c02eefb29f1f1acef7",
     ),
     "table3": ("table3", "6189cffd9ab6b8e65c720c5a6b87c9f9426b9024e57f2216f57f64e5e456a17c"),
+    # levels 1..16 at pf = 0.3, down to the underflow to 0
+    "proposition_deep": (
+        "proposition --pf 0.3 --j-max 16",
+        "33c643562b491d4ad9adb91c3c1c7ae60ee4613262033c78fadadd0b58e84c2c",
+    ),
+    "audit": ("audit", "893ae5b9b1bb449ff2fbf1c84c0d856350cbfad77dda211b2c147a94325b79ac"),
 }
 
 

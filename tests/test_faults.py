@@ -9,6 +9,7 @@ from htmr_lab.faults import (
     _WORDS,
     RandomSource,
     SCENARIO_PATTERNS,
+    SCRATCH_CELLS,
     make_scenario,
 )
 
@@ -99,7 +100,8 @@ class TestBernoulli:
         variance = pairs * p * (1.0 - p) + 2 * overlap * (r**3 - r**4)
         assert abs(count - pairs * p) <= 5.0 * math.sqrt(variance)
 
-    @pytest.mark.parametrize("rate", [1e-3, 0.3, 0.5])
+    # 1/17 is the residual's supremum in ``bernoulli_lanes``
+    @pytest.mark.parametrize("rate", [1e-3, 1 / 17, 0.3, 0.5])
     def test_bits_are_independent_at_their_rate(self, rate):
         bits = np.empty(self.N, dtype=bool)
         RandomSource(2024).derive(int(rate * 1000))._bernoulli(bits, rate)
@@ -110,7 +112,7 @@ class TestBernoulli:
             self.within_five_sigma(joint, n - stride, rate * rate, n - 2 * stride)
 
     @pytest.mark.parametrize("rate", [5e-324, 1e-300])
-    def test_subnormal_and_tiny_rates_fill_one_window(self, rate):
+    def test_subnormal_and_tiny_rates_set_no_bits(self, rate):
         bits = np.ones(1000, dtype=bool)
         RandomSource(6)._bernoulli(bits, rate)
         assert not bits.any()
@@ -139,7 +141,8 @@ class TestBernoulliLanes:
     @staticmethod
     def lanes(rate, rows, m, seed=2025):
         out = np.empty((rows, -(-m // 64)), dtype=np.uint64)
-        RandomSource(seed).derive(int(rate * 1000)).bernoulli_lanes(out, m, rate)
+        cells = np.empty(SCRATCH_CELLS, dtype=bool)
+        RandomSource(seed).derive(int(rate * 1000)).bernoulli_lanes(out, m, rate, cells)
         return out
 
     @pytest.mark.parametrize("rate", [1e-3, 0.05, 0.1, 0.3, 0.45, 0.5, 0.55, 0.9, 1.0])
@@ -185,19 +188,21 @@ class TestBernoulliLanes:
     def test_below_one_thirty_second_the_lanes_are_packed_bernoulli_bits(self):
         # a = 0: the dyadic stage draws nothing and the residual is the rate,
         # or above 1/2 the inverted residual at 1 - rate
+        scratch = np.empty(SCRATCH_CELLS, dtype=bool)
         for rate in (1e-3, 0.03, 0.99):
             cells = np.empty(3 * 100, dtype=bool)
             RandomSource(8)._bernoulli(cells, min(rate, 1.0 - rate))
             if rate > 0.5:
                 cells = ~cells
             out = np.empty((3, 2), dtype=np.uint64)
-            RandomSource(8).bernoulli_lanes(out, 100, rate)
+            RandomSource(8).bernoulli_lanes(out, 100, rate, scratch)
             assert np.array_equal(unpacked(out, 100), cells.reshape(3, 100)), rate
 
     @pytest.mark.parametrize("rate", [0.0, 1.0])
     def test_rates_zero_and_one_draw_nothing(self, rate):
         rng = RandomSource(6)
-        rng.bernoulli_lanes(np.empty((2, 2), dtype=np.uint64), 100, rate)
+        cells = np.empty(SCRATCH_CELLS, dtype=bool)
+        rng.bernoulli_lanes(np.empty((2, 2), dtype=np.uint64), 100, rate, cells)
         assert rng.uniform() == RandomSource(6).uniform()
 
 

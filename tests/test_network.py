@@ -415,18 +415,25 @@ class TestRunTrialsDeterminism:
 
     @pytest.mark.parametrize(
         "net",
-        [build_network(0, 0.3), build_network(4, 0.1, voter_fault_rate=0.1)],
-        ids=["order0_long_row", "order4_voter_faults"],
+        [
+            build_network(0, 0.3),
+            build_network(4, 0.1, voter_fault_rate=0.1),
+            build_network(4, 0.4999, voter_fault_rate=0.4999),
+        ],
+        ids=["order0_long_row", "order4_voter_faults", "order4_near_half"],
     )
     def test_cell_scratch_is_bounded_by_one_piece(self, monkeypatch, net):
         # an order-0 block's one row is longer than a piece, and an order-4
         # block's leaf run is many rows: neither asks for more than one
-        # piece's cells
-        cells = []
+        # piece's cells. At 0.4999, a = 15 and the residual is its largest,
+        # near 0.0586; with at most SCRATCH_CELLS cells below rate 1/16, one
+        # residual draw expects fewer than 34,000 positions
+        cells, rates = [], []
         bernoulli = RandomSource._bernoulli
 
         def counted(self, out, rate):
             cells.append(out.size)
+            rates.append(rate)
             bernoulli(self, out, rate)
 
         monkeypatch.setattr(RandomSource, "_bernoulli", counted)
@@ -435,6 +442,7 @@ class TestRunTrialsDeterminism:
         assert scratch.size <= SCRATCH_CELLS
         run_trials(net, m, RandomSource(4))
         assert cells and max(cells) <= SCRATCH_CELLS
+        assert all(0.0 < rate < 1 / 16 for rate in rates)
 
 
 class TestFanOut:

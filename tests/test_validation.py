@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from htmr_lab.faults import RandomSource, check_probability, make_scenario
+from htmr_lab.faults import SCRATCH_CELLS, RandomSource, check_probability, make_scenario
 from htmr_lab.harness import SweepConfig, reduction_claims_check
 from htmr_lab.network import FaultStatusCounter, build_network, health_report, simulate_bit
 from htmr_lab.reliability import (
@@ -46,8 +46,9 @@ BIT_ENTRIES = {
 PROBABILITY_ENTRIES = {
     "check_probability": lambda p, rng: check_probability("p", p),
     "make_scenario": lambda p, rng: make_scenario("NFF", p),
-    "RandomSource.bernoulli_lanes":
-        lambda p, rng: rng.bernoulli_lanes(np.empty((1, 1), dtype=np.uint64), 4, p),
+    "RandomSource.bernoulli_lanes": lambda p, rng: rng.bernoulli_lanes(
+        np.empty((1, 1), dtype=np.uint64), 4, p, np.empty(SCRATCH_CELLS, dtype=bool)
+    ),
     "pe_first": lambda p, rng: pe_first(p),
     "pem_first/pf": lambda p, rng: pem_first(p, 0.1),
     "pem_first/pfmb": lambda p, rng: pem_first(0.1, p),
