@@ -263,11 +263,8 @@ def cmd_table3(args) -> OutputDocument:
 
 def cmd_proposition(args) -> OutputDocument:
     report = proposition_check(args.pf, args.j_max)
-    decreased = {j: ok for j, ok in report.comparisons}
-    rows = []
-    for j, pe in report.entries:
-        flag = None if j == 1 else ("yes" if decreased[j] else "no")
-        rows.append((j, pe, flag))
+    flags = {j: None if ok is None else "yes" if ok else "no" for j, ok in report.comparisons}
+    rows = [(j, pe, flags.get(j)) for j, pe in report.entries]
     meta = _meta(
         args, "proposition", pf=report.pf, j_max=args.j_max, verdict=report.verdict
     )

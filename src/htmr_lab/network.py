@@ -43,15 +43,22 @@ residual on bool cells, packed, then bit-sliced words at the rate rounded
 down to a multiple of 1/32 ORed in. The sum is exact (see
 ``bernoulli_lanes``). A network with no fault bits draws nothing and
 derives no stream. Each thread of a ``run_trials`` call draws every block
-it claims into one pair of flat buffers, packed rows and at most
-``SCRATCH_CELLS`` bool cells, allocated once per call; a block is a
-C-contiguous view of the front of the rows, so the sampler always fills
-the buffer itself.
+it claims into its workspace, one pair of flat buffers: packed rows and
+``SCRATCH_CELLS`` bool cells. A block is a C-contiguous view of the front
+of the rows, so the sampler always fills the buffer itself. A thread keeps
+its workspace from one call to the next, so a sweep's units reuse pages
+already touched rather than faulting in fresh ones, and the workspace is
+released when its thread ends: the calling thread keeps it, and a helper
+thread, which ends with its call, for that call only.
 
 Work sizing: a block's width is ``block_trials(net)``, about
 ``BLOCK_BYTES`` of packed rows, so every block of every network costs
 about the same to draw and vote, and its buffers stay near half a MiB
-whatever the order. A network whose 64-trial block would need more than
+whatever the order. A thread's workspace holds about ``BLOCK_BYTES`` of
+rows plus ``SCRATCH_CELLS`` cells for every network of up to 65,536 block
+rows (order 10 without voter faults, order 9 with); above that it grows to
+the largest 64-trial block the thread has drawn, at most
+``MAX_BLOCK_BYTES``. A network whose 64-trial block would need more than
 ``MAX_BLOCK_BYTES`` is refused before anything is drawn. A call starts
 helper threads only for at least ``BITS_PER_THREAD`` fault bits (trials
 times rows) a thread.
@@ -348,17 +355,31 @@ def block_trials(net: HtmrNetwork) -> int:
     return 64 * max(1, BLOCK_BYTES // row_bytes)
 
 
-def _block_buffers(runs: list[tuple[int, int, float]], m: int):
-    """One thread's buffers for blocks of up to ``m`` trials.
+# Each thread's ``rows`` and ``cells`` buffers (see ``_block_buffers``).
+_workspace = threading.local()
 
-    Returns a flat ``uint64`` buffer for the packed rows and a flat bool
-    buffer for the Poisson stage of one sampler piece. Where they cannot be
-    allocated, the ``MemoryError`` names the bytes one block needs.
+
+def _block_buffers(runs: list[tuple[int, int, float]], m: int):
+    """The calling thread's buffers for blocks of up to ``m`` trials.
+
+    Returns views of the front of the thread's workspace: a flat ``uint64``
+    buffer for the packed rows and a flat bool buffer for the Poisson stage
+    of one sampler piece. A thread's first call reserves ``BLOCK_BYTES`` of
+    rows and ``SCRATCH_CELLS`` cells, enough for any default block of up
+    to 65,536 rows, and a block that needs more grows the buffer to its
+    size; the workspace never shrinks, so every later call on the thread
+    reuses the pages it has touched. Where a buffer cannot grow, the
+    ``MemoryError`` names the bytes one block needs.
     """
     words = (runs[-1][1] if runs else 0) * -(-m // 64)
     cells = min(max((hi - lo for lo, hi, _ in runs), default=0) * m, SCRATCH_CELLS)
+    rows = getattr(_workspace, "rows", None)
+    scratch = getattr(_workspace, "cells", None)
     try:
-        return np.empty(words, dtype=np.uint64), np.empty(cells, dtype=bool)
+        if rows is None or rows.size < words:
+            rows = _workspace.rows = np.empty(max(words, BLOCK_BYTES // 8), dtype=np.uint64)
+        if scratch is None:
+            scratch = _workspace.cells = np.empty(SCRATCH_CELLS, dtype=bool)
     except MemoryError:
         need = 8 * words + cells
         raise MemoryError(
@@ -366,6 +387,7 @@ def _block_buffers(runs: list[tuple[int, int, float]], m: int):
             "of fault bits, more than can be allocated; simulate a lower order "
             "or fewer trials"
         ) from None
+    return rows[:words], scratch[:cells]
 
 
 def _draw_block(
@@ -422,6 +444,12 @@ def run_trials(
     exact in any order, and the call adds them up at the end, so memory
     does not grow with ``n``. If a block raises, the threads stop
     claiming, every helper is joined and the call raises that error.
+
+    Every thread draws into its workspace (see ``_block_buffers``): the
+    calling thread keeps its own for later calls, and a helper's is
+    released when the helper ends with this call. A workspace's stale bits
+    never reach a result, because every block's rows are drawn in full
+    before they are voted.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"trial count must lie in 1..2**63 - 1, got {n}")
@@ -441,7 +469,7 @@ def run_trials(
 
     def work():
         # claim blocks by index until none are left or any thread has failed;
-        # every block's bits are drawn into this thread's one pair of buffers
+        # every block's bits are drawn into this thread's workspace
         errors, counts = 0, np.zeros(net.voter_count, dtype=np.int64)
         try:
             buffers = _block_buffers(runs, min(block_size, n))

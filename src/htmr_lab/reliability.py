@@ -196,15 +196,20 @@ class PropositionReport:
     """Audit of "each extra voting level strictly lowers the error rate".
 
     ``entries`` holds (level, error probability) for levels 1..j_max;
-    ``comparisons`` holds (level, decreased?) for each adjacent pair. The
-    verdict is "holds" only if every comparison strictly decreased; the
-    claim provably fails for module error rates at or above one half, and
-    the report simply records that rather than treating it as an error.
+    ``comparisons`` holds (level, decreased?) for each adjacent pair. At
+    0 < pf < 1 every level's exact value is positive, so where the earlier
+    level's value has underflowed to 0 the comparison reads ``None``: the
+    floats cannot tell whether the level decreased. At pf = 0 the zeros
+    are exact, and equal zeros read ``False``. The verdict is "holds" if
+    every decided comparison strictly decreased, "violated" if any did not,
+    and "undetermined" if none is decided; the claim provably fails for
+    module error rates at or above one half, and the report simply records
+    that rather than treating it as an error.
     """
 
     pf: float
     entries: tuple[tuple[int, float], ...]
-    comparisons: tuple[tuple[int, bool], ...]
+    comparisons: tuple[tuple[int, bool | None], ...]
     verdict: str
 
 
@@ -216,10 +221,11 @@ def proposition_check(pf: float, j_max: int) -> PropositionReport:
     p = check_probability("pf", pf)
     entries = [(j, pe_order(j, p)) for j in range(1, j_max + 1)]
     comparisons = tuple(
-        (entries[k][0], entries[k][1] < entries[k - 1][1])
-        for k in range(1, len(entries))
+        (j, None if earlier == 0.0 and p > 0.0 else pe < earlier)
+        for (_, earlier), (j, pe) in zip(entries, entries[1:])
     )
-    verdict = "holds" if all(ok for _, ok in comparisons) else "violated"
+    decided = [ok for _, ok in comparisons if ok is not None]
+    verdict = "undetermined" if not decided else "holds" if all(decided) else "violated"
     return PropositionReport(
         pf=p, entries=tuple(entries), comparisons=comparisons, verdict=verdict
     )

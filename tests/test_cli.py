@@ -226,11 +226,12 @@ class TestSimulate:
         assert "internal error" not in err
 
     def test_a_failed_allocation_under_the_cap_still_exits_2_naming_its_bytes(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, empty_workspace
     ):
         # order 12 with voter faults draws 797,161 fault bits a trial, so its
         # blocks are 64 trials wide; a stand-in allocation fails above 1 MiB,
-        # which the block's packed rows exceed
+        # which the block's packed rows exceed, and an empty workspace must
+        # grow to hold them
         empty = np.empty
 
         def bounded_empty(shape, dtype=float):
@@ -379,6 +380,18 @@ class TestProposition:
         _, rows = data_rows(out)
         assert len(rows) == 5
         assert all(row.endswith(",yes") for row in rows[1:])
+
+    @pytest.mark.parametrize(
+        "pf, verdict, cells",
+        [("0.3", "holds", ["yes"] * 11 + [""] * 4), ("0", "violated", ["no"] * 15),
+         ("1e-200", "undetermined", [""] * 15)],
+    )
+    def test_levels_past_an_underflow_print_empty_cells(self, capsys, pf, verdict, cells):
+        code, out, _ = run_cli(capsys, "proposition", "--pf", pf, "--j-max", "16")
+        assert code == 0
+        assert f"verdict={verdict}" in out.splitlines()[0]
+        _, rows = data_rows(out)
+        assert [row.split(",")[2] for row in rows] == [""] + cells
 
 
 class TestAudit:

@@ -17,6 +17,7 @@ import pytest
 
 from htmr_lab import network
 from htmr_lab.faults import SCRATCH_CELLS, RandomSource, make_scenario
+from htmr_lab.harness import SweepConfig, sweep_monte_carlo
 from htmr_lab.network import (
     EmpiricalEstimate,
     FaultStatusCounter,
@@ -320,7 +321,7 @@ class TestRunTrialsDeterminism:
             alarm_counts = [0] * net.voter_count
             for b in range(4):
                 m = min(block_size, n - b * block_size)
-                buffers = network._block_buffers(runs, m)
+                buffers = [np.zeros_like(buf) for buf in network._block_buffers(runs, m)]
                 hit = unpacked(network._draw_block(runs, m, RandomSource(77), b, buffers), m)
                 for i in range(m):
                     out, alarms = simulate_bit(net, 0, hit[:, i])
@@ -399,7 +400,7 @@ class TestRunTrialsDeterminism:
         # one kept result per block would add about 150 bytes a block
         assert peaks[3] - peaks[2] < 50_000
 
-    def test_one_block_peaks_near_its_fault_bit_matrix(self):
+    def test_one_block_peaks_near_its_fault_bit_matrix(self, empty_workspace):
         # one order-4 block with voter faults holds 121 packed fault-bit rows
         # and the sampler's bool scratch of one piece; the kernel's levels
         # take a third of the leaf rows and less, so the block needs little
@@ -407,6 +408,7 @@ class TestRunTrialsDeterminism:
         net = build_network(4, 0.1, voter_fault_rate=0.1)
         m = block_trials(net)
         run_trials(net, m, RandomSource(4))  # warms caches up
+        empty_workspace()  # so the measured call allocates its block's buffers
         tracemalloc.start()
         run_trials(net, m, RandomSource(4))
         peak = tracemalloc.get_traced_memory()[1]
@@ -443,6 +445,59 @@ class TestRunTrialsDeterminism:
         run_trials(net, m, RandomSource(4))
         assert cells and max(cells) <= SCRATCH_CELLS
         assert all(0.0 < rate < 1 / 16 for rate in rates)
+
+
+class TestWorkspace:
+    """A thread keeps its block buffers from one call to the next."""
+
+    def test_a_sweep_allocates_block_buffers_once(self, monkeypatch, empty_workspace):
+        # 21 points at orders 0-2 are 63 units, each taking block buffers;
+        # every unit's block fits the first buffers the calling thread takes.
+        # The sampler's numpy calls allocate too; only the network's count
+        caller = threading.get_ident()
+        empty = np.empty
+        allocations = []
+
+        def counted_empty(shape, dtype=float):
+            in_network = sys._getframe(1).f_globals["__name__"] == network.__name__
+            if in_network and threading.get_ident() == caller:
+                allocations.append(np.dtype(dtype))
+            return empty(shape, dtype)
+
+        monkeypatch.setattr(network.np, "empty", counted_empty)
+        cfg = SweepConfig(pf_min=0.0, pf_max=1.0, pf_steps=21, orders=(0, 1, 2), trials=3_000)
+        rows = sweep_monte_carlo(cfg)
+        assert len(rows) == 63
+        assert sorted(map(str, allocations)) == ["bool", "uint64"]
+
+    def test_a_dirty_workspace_changes_no_result(self, empty_workspace):
+        # order 4 at pf = pfmb = 0.9 leaves rows of mostly set bits behind;
+        # a smaller network drawn over them must count as it does on a
+        # thread whose workspace is new
+        deep = build_network(4, 0.9, voter_fault_rate=0.9)
+        run_trials(deep, block_trials(deep), RandomSource(1))
+        left = network._workspace.rows[:121 * block_trials(deep) // 64]
+        assert np.bitwise_count(left).mean() > 48
+        net = build_network(2, (0.0, 0.25, 0.45) * 3, voter_fault_rate=0.05)
+        here = run_trials(net, 5_000, RandomSource(9))
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(run_trials(net, 5_000, RandomSource(9))))
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert here == fresh[0]
+
+    def test_a_larger_block_grows_the_buffers(self, empty_workspace):
+        # order 11 has 177,147 leaf rows, more than BLOCK_BYTES holds for
+        # even a 64-trial block; the workspace grows to it and never shrinks
+        run_trials(build_network(2, 0.1), 1_000, RandomSource(0))
+        assert network._workspace.rows.size == network.BLOCK_BYTES // 8
+        assert network._workspace.cells.size == SCRATCH_CELLS
+        run_trials(build_network(11, 0.1), 64, RandomSource(0))
+        assert network._workspace.rows.size == 3 ** 11
+        run_trials(build_network(2, 0.1), 1_000, RandomSource(0))
+        assert network._workspace.rows.size == 3 ** 11
+        assert network._workspace.cells.size == SCRATCH_CELLS
 
 
 class TestFanOut:

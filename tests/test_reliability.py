@@ -318,6 +318,30 @@ class TestPropositionCheck:
         for pf in np.linspace(0.001, 0.499, 50):
             assert proposition_check(float(pf), 6).verdict == "holds"
 
+    def test_levels_past_an_underflow_are_undecided(self):
+        # every level is positive at pf = 0.3, but levels 12-16 underflow to
+        # 0; level 12 still decreased from level 11, and no later one can tell
+        report = proposition_check(0.3, 16)
+        values = dict(report.entries)
+        assert values[11] > 0.0 and all(values[j] == 0.0 for j in range(12, 17))
+        decided = dict(report.comparisons)
+        assert all(decided[j] is True for j in range(2, 13))
+        assert all(decided[j] is None for j in range(13, 17))
+        assert report.verdict == "holds"
+
+    def test_exact_zeros_at_pf_zero_do_not_decrease(self):
+        report = proposition_check(0.0, 4)
+        assert all(pe == 0.0 for _, pe in report.entries)
+        assert all(ok is False for _, ok in report.comparisons)
+        assert report.verdict == "violated"
+
+    def test_no_decided_comparison_is_undetermined(self):
+        # level 1 at pf = 1e-200 is 3e-400, which underflows to 0 already
+        report = proposition_check(1e-200, 4)
+        assert all(pe == 0.0 for _, pe in report.entries)
+        assert all(ok is None for _, ok in report.comparisons)
+        assert report.verdict == "undetermined"
+
     def test_needs_at_least_two_levels(self):
         with pytest.raises(ValueError):
             proposition_check(0.1, 1)
