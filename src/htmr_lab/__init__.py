@@ -17,7 +17,6 @@ from .harness import (
     Table3Row,
     TABLE3_RATES,
     floor_to_sig_figs,
-    low_probability_report,
     present_operations,
     reduction_claims_check,
     scenario_suite,
@@ -28,11 +27,9 @@ from .harness import (
 from .network import (
     EmpiricalEstimate,
     FaultStatusCounter,
-    HealthReport,
     HtmrNetwork,
     block_trials,
     build_network,
-    health_report,
     run_trials,
     simulate_bit,
     tile_scenario,

@@ -5,7 +5,9 @@ rate, nesting order) pair, strictly ordered by rate and then order, so a
 run with the same configuration and seed is reproducible row for row.
 Empirical columns are always accompanied by the trial count and binomial
 standard error, making statistical acceptance checkable from the output
-alone.
+alone. The paper's comparison of the two hierarchy depths at very low
+rates is an analytic sweep of orders 1 and 2 on a logarithmic grid: the
+per-module gap at a point is order 2's ``re_per_module`` minus order 1's.
 
 Monte-Carlo sweeps derive one random stream per (grid point, order) --
 and per scenario, for the scenario suite -- from the master seed, so
@@ -21,7 +23,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .faults import SCENARIO_PATTERNS, RandomSource, check_probability, make_scenario
+from .faults import (
+    SCENARIO_PATTERNS,
+    RandomSource,
+    check_integer,
+    check_probability,
+    make_scenario,
+)
 from .network import HtmrNetwork, block_trials, build_network, run_trials
 from .reliability import (
     check_order,
@@ -48,8 +56,6 @@ __all__ = [
     "TABLE3_RATES",
     "floor_to_sig_figs",
     "present_operations",
-    "LowProbabilityRow",
-    "low_probability_report",
     "ReductionClaims",
     "reduction_claims_check",
 ]
@@ -78,6 +84,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("pf_steps", "trials", "workers"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.pf_steps < 1:
             raise ValueError(f"pf_steps must be >= 1, got {self.pf_steps}")
         if self.pf_steps == 1:
@@ -299,56 +307,6 @@ def table3_report() -> tuple[Table3Row, ...]:
             )
         )
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class LowProbabilityRow:
-    """Reduction rates and per-module reduction rates at one low rate point.
-
-    ``per_module_gap`` is re2/9 - re1/3; at low rates the two per-module
-    curves agree to leading order and the gap shrinks toward zero.
-    """
-
-    pf: float
-    re_order1: float
-    re_order2: float
-    re1_per_module: float
-    re2_per_module: float
-    per_module_gap: float
-
-
-def low_probability_report(cfg: SweepConfig) -> list[LowProbabilityRow]:
-    """Analytic study of the very-low error-rate regime.
-
-    Requires a logarithmic grid with pf_min >= 1e-8. Analytic only:
-    empirical validation in this regime is off the table (order-2 error
-    rates near 1e-11 would need on the order of 1e12 trials below
-    pf = 1e-3), so a nonzero trial budget is rejected outright.
-    """
-    if cfg.pf_scale != "log":
-        raise ValueError("low_probability_report needs a logarithmic grid")
-    if cfg.pf_min < 1e-8:
-        raise ValueError("grid minimum below 1e-8 is outside the supported regime")
-    if cfg.trials > 0:
-        raise ValueError(
-            "empirical columns are infeasible below pf = 1e-3 (order-2 error rates "
-            "~1e-11 need ~1e12 trials); this report is analytic only, set trials=0"
-        )
-    rows = []
-    for pf in cfg.pf_values():
-        re1 = reduction_rate(pf, pe_order(1, pf))
-        re2 = reduction_rate(pf, pe_order(2, pf))
-        rows.append(
-            LowProbabilityRow(
-                pf=pf,
-                re_order1=re1,
-                re_order2=re2,
-                re1_per_module=re1 / 3.0,
-                re2_per_module=re2 / 9.0,
-                per_module_gap=re2 / 9.0 - re1 / 3.0,
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

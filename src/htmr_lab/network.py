@@ -16,7 +16,9 @@ Every voter shares the same fault rate: with that probability its data
 path fails and it passes its first child through un-voted, otherwise it
 emits the majority of its children. The disagreement alarm is computed
 from the children either way (the alarm logic is a parallel tap, not part
-of the failed data path).
+of the failed data path). ``run_trials`` returns the alarms as a
+``FaultStatusCounter``: voter ``v``'s observed alarm frequency is
+``counter.alarm_counts[v] / counter.trials``.
 
 Draw order: a trial's fault bits come in a fixed order. Leaves at a
 nonzero rate come first (left to right), then, when the voter fault rate is
@@ -79,7 +81,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faults import SCRATCH_CELLS, RandomSource, check_probability
+from .faults import SCRATCH_CELLS, RandomSource, check_integer, check_probability
 from .reliability import check_leaves, check_order
 from .voting import alarm_signal, check_bit, majority_vote
 
@@ -91,8 +93,6 @@ __all__ = [
     "run_trials",
     "EmpiricalEstimate",
     "FaultStatusCounter",
-    "HealthReport",
-    "health_report",
     "block_trials",
 ]
 
@@ -237,36 +237,6 @@ class FaultStatusCounter:
                 raise ValueError(
                     f"alarm count of voter {v} must lie in 0..{self.trials}, got {count}"
                 )
-
-
-@dataclass(frozen=True)
-class HealthReport:
-    """Per-voter alarm frequencies with over-threshold flagging."""
-
-    frequencies: tuple[float, ...]
-    aggregate_rate: float
-    flagged_voters: tuple[int, ...]
-    alert_level: float
-
-
-def health_report(counter: FaultStatusCounter, alert_level: float = 0.05) -> HealthReport:
-    """Summarize a fault-status counter.
-
-    ``aggregate_rate`` is the mean per-voter alarm frequency; voters whose
-    individual frequency exceeds ``alert_level`` are flagged.
-    """
-    if counter.trials < 1:
-        raise ValueError("health_report needs at least one observed trial")
-    check_probability("alert_level", alert_level)
-    freqs = tuple(c / counter.trials for c in counter.alarm_counts)
-    aggregate = sum(freqs) / len(freqs) if freqs else 0.0
-    flagged = tuple(v for v, f in enumerate(freqs) if f > alert_level)
-    return HealthReport(
-        frequencies=freqs,
-        aggregate_rate=aggregate,
-        flagged_voters=flagged,
-        alert_level=alert_level,
-    )
 
 
 def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
@@ -431,8 +401,8 @@ def run_trials(
     and ``n``, never on ``workers``: any worker count yields the identical
     estimate and alarm counter. A network with no fault bits derives no
     block stream. Errors are trials whose root output differs from the
-    reference bit. ``n`` lies in 1..2**63 - 1, the range of the int64
-    alarm counters. A network too large for one 64-trial block (see
+    reference bit. ``n`` is an integer in 1..2**63 - 1, the range of the
+    int64 alarm counters. A network too large for one 64-trial block (see
     ``block_trials``) is refused before anything is drawn.
 
     The calling thread and up to ``workers - 1`` helper threads claim
@@ -451,12 +421,14 @@ def run_trials(
     never reach a result, because every block's rows are drawn in full
     before they are voted.
     """
+    n = check_integer("trial count", n)
     if not 1 <= n < 1 << 63:
         raise ValueError(f"trial count must lie in 1..2**63 - 1, got {n}")
     default = block_trials(net)  # refuses a network too large for any block
-    block_size = default if block_size is None else block_size
+    block_size = check_integer("block_size", default if block_size is None else block_size)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
+    workers = check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

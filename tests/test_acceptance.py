@@ -7,10 +7,12 @@ use four binomial standard errors computed from the analytic probability.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,9 @@ import pytest
 from htmr_lab.faults import RandomSource
 from htmr_lab.harness import (
     SweepConfig,
-    low_probability_report,
     reduction_claims_check,
     scenario_suite,
+    sweep_analytic,
     sweep_monte_carlo,
     table3_report,
 )
@@ -199,9 +201,11 @@ def test_c10_expansion_coefficients_audit():
 
 
 def _cli_bytes(*argv: str) -> bytes:
+    # the checkout's package, whether or not it is installed
+    src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-m", "htmr_lab", *argv],
-        capture_output=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True,
     )
     return result.stdout
 
@@ -230,12 +234,12 @@ def test_c12_low_probability_note():
     # low-rate study the per-module reduction rates of the two hierarchy
     # depths differ by less than 1e-3 decades for pf <= 1e-3
     with criterion("C12 per-module reduction-rate agreement below 1e-3"):
-        cfg = SweepConfig(pf_min=1e-8, pf_max=1e-3, pf_steps=26, pf_scale="log")
-        rows = low_probability_report(cfg)
-        assert len(rows) == 26
-        for row in rows:
-            assert abs(row.per_module_gap) < 1e-3, row.pf
-        with pytest.raises(ValueError):
-            low_probability_report(
-                SweepConfig(pf_min=1e-8, pf_max=1e-3, pf_steps=5, pf_scale="log", trials=100)
-            )
+        cfg = SweepConfig(
+            pf_min=1e-8, pf_max=1e-3, pf_steps=26, pf_scale="log", orders=(1, 2)
+        )
+        rows = sweep_analytic(cfg)
+        pairs = list(zip(rows[0::2], rows[1::2]))
+        assert len(pairs) == 26
+        for first, second in pairs:
+            assert first.pf == second.pf and (first.order, second.order) == (1, 2)
+            assert abs(second.re_per_module - first.re_per_module) < 1e-3, first.pf

@@ -56,7 +56,12 @@ DOCUMENTS = {
         "analytic --pf-min 0 --pf-max 1 --pf-steps 11 --orders 0,1,2,3,4 --pfmb pf",
         "b264e4c0c54a9b9e545de1502f97bdef63abedff059927c02eefb29f1f1acef7",
     ),
-    "table3": ("table3", "6189cffd9ab6b8e65c720c5a6b87c9f9426b9024e57f2216f57f64e5e456a17c"),
+    # the low-rate study: orders 1 and 2 on a logarithmic grid down to 1e-8
+    "analytic_low_rate_log": (
+        "analytic --pf-min 1e-8 --pf-max 1e-3 --pf-steps 11 --pf-scale log --orders 1,2",
+        "20ac1af4cfa310a984943931984b441f77bad8bce05f89b168fea617dedde832",
+    ),
+    "table3": ("table3","6189cffd9ab6b8e65c720c5a6b87c9f9426b9024e57f2216f57f64e5e456a17c"),
     # levels 1..16 at pf = 0.3, down to the underflow to 0; the comparisons
     # after the first zero are undecided
     "proposition_deep": (

@@ -9,7 +9,6 @@ from htmr_lab.harness import (
     SweepConfig,
     TABLE3_RATES,
     floor_to_sig_figs,
-    low_probability_report,
     present_operations,
     reduction_claims_check,
     scenario_suite,
@@ -111,6 +110,31 @@ class TestSweepAnalytic:
     def test_analytic_rows_have_no_empirical_columns(self):
         for row in sweep_analytic(SweepConfig.single(0.2)):
             assert row.pe_hat is None and row.std_err is None and row.trials is None
+
+    @staticmethod
+    def low_rate_orders(**kw):
+        """Order 1's and order 2's rows at each point of a low-rate log grid."""
+        grid = dict(pf_min=1e-6, pf_max=1e-3, pf_steps=7, pf_scale="log", orders=(1, 2))
+        rows = sweep_analytic(SweepConfig(**(grid | kw)))
+        return list(zip(rows[0::2], rows[1::2]))
+
+    def test_low_rate_reference_point(self):
+        first, second = self.low_rate_orders(pf_min=1e-4, pf_steps=2)[0]
+        assert first.pf == second.pf == pytest.approx(1e-4, rel=1e-12)
+        assert first.re == pytest.approx(3.5229, abs=1e-4)
+        assert second.re == pytest.approx(10.5687, abs=1e-4)
+        assert abs(first.re_per_module - second.re_per_module) < 1e-4
+
+    def test_per_module_gap_stays_small_down_to_millirate(self):
+        for first, second in self.low_rate_orders():
+            assert (first.order, second.order) == (1, 2)
+            assert abs(second.re_per_module - first.re_per_module) < 1e-3
+
+    def test_low_rate_grid_reaches_order_two_underflow(self):
+        # the grid has no floor: below pf ~ 5.5e-82 order 2's pe underflows to 0
+        first, second = self.low_rate_orders(pf_min=1e-90, pf_steps=2)[0]
+        assert first.pe == pytest.approx(3e-180, rel=1e-12)
+        assert second.pe == 0.0 and second.re == math.inf
 
 
 class TestSweepMonteCarlo:
@@ -261,43 +285,6 @@ class TestTable3:
         for row in table3_report():
             for j, ops in enumerate(row.ops_exact):
                 assert ops == pytest.approx(1.0 / pe_order(j, row.pf), rel=1e-12)
-
-
-class TestLowProbabilityReport:
-    def make_cfg(self, **kw):
-        defaults = dict(pf_min=1e-6, pf_max=1e-3, pf_steps=7, pf_scale="log")
-        defaults.update(kw)
-        return SweepConfig(**defaults)
-
-    def test_reference_point(self):
-        rows = low_probability_report(self.make_cfg(pf_min=1e-4, pf_max=1e-3, pf_steps=2))
-        first = rows[0]
-        assert first.pf == pytest.approx(1e-4, rel=1e-12)
-        assert first.re_order1 == pytest.approx(3.5229, abs=1e-4)
-        assert first.re_order2 == pytest.approx(10.5687, abs=1e-4)
-        assert abs(first.re1_per_module - first.re2_per_module) < 1e-4
-
-    def test_per_module_gap_stays_small_down_to_millirate(self):
-        rows = low_probability_report(self.make_cfg())
-        for row in rows:
-            assert abs(row.per_module_gap) < 1e-3
-            assert row.per_module_gap == pytest.approx(
-                row.re2_per_module - row.re1_per_module
-            )
-
-    def test_requires_log_grid(self):
-        with pytest.raises(ValueError):
-            low_probability_report(
-                SweepConfig(pf_min=1e-6, pf_max=1e-3, pf_steps=5, pf_scale="lin")
-            )
-
-    def test_rejects_grid_below_supported_floor(self):
-        with pytest.raises(ValueError):
-            low_probability_report(self.make_cfg(pf_min=1e-9))
-
-    def test_rejects_empirical_request(self):
-        with pytest.raises(ValueError, match="1e12 trials"):
-            low_probability_report(self.make_cfg(trials=1000))
 
 
 class TestReductionClaims:

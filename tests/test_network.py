@@ -23,7 +23,6 @@ from htmr_lab.network import (
     FaultStatusCounter,
     block_trials,
     build_network,
-    health_report,
     run_trials,
     simulate_bit,
     tile_scenario,
@@ -700,10 +699,6 @@ class TestAlarmAccounting:
         net = build_network(2, 0.0)
         _, counter = run_trials(net, 5_000, RandomSource(0))
         assert counter.alarm_counts == (0, 0, 0, 0)
-        report = health_report(counter)
-        assert report.frequencies == (0.0, 0.0, 0.0, 0.0)
-        assert report.aggregate_rate == 0.0
-        assert report.flagged_voters == ()
 
     def test_single_dissenter_alarm_frequency_tracks_its_rate(self):
         n = 40_000
@@ -712,17 +707,6 @@ class TestAlarmAccounting:
         _, counter = run_trials(net, n, RandomSource(50))
         frequency = counter.alarm_counts[0] / n
         assert abs(frequency - pf) <= four_sigma(pf, n)
-
-    def test_health_report_flags_noisy_voters(self):
-        counter = FaultStatusCounter(alarm_counts=(400, 2), trials=1000)
-        report = health_report(counter, alert_level=0.1)
-        assert report.frequencies == (0.4, 0.002)
-        assert report.aggregate_rate == pytest.approx(0.201)
-        assert report.flagged_voters == (0,)
-
-    def test_health_report_needs_observations(self):
-        with pytest.raises(ValueError):
-            health_report(FaultStatusCounter(alarm_counts=(), trials=0))
 
 
 class TestEstimateTypes:

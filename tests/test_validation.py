@@ -1,5 +1,5 @@
-"""One validator per input concept: every entry taking a bit or a probability
-rejects the same bad values, before it draws anything."""
+"""One validator per input concept: every entry taking a bit, a probability
+or a count rejects the same bad values, before it draws anything."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 
 from htmr_lab.faults import SCRATCH_CELLS, RandomSource, check_probability, make_scenario
 from htmr_lab.harness import SweepConfig, reduction_claims_check
-from htmr_lab.network import FaultStatusCounter, build_network, health_report, simulate_bit
+from htmr_lab.network import build_network, run_trials, simulate_bit
 from htmr_lab.reliability import (
     check_leaves,
     expansion_audit,
@@ -68,10 +68,19 @@ PROBABILITY_ENTRIES = {
     "reduction_claims_check": lambda p, rng: reduction_claims_check(p),
     "build_network/leaves": lambda p, rng: build_network(1, p),
     "build_network/voters": lambda p, rng: build_network(1, 0.1, voter_fault_rate=p),
-    "health_report": lambda p, rng: health_report(FaultStatusCounter((1,), 10), p),
     "SweepConfig/pf": lambda p, rng: SweepConfig.single(p),
     "SweepConfig/pf_max": lambda p, rng: SweepConfig(pf_min=0.1, pf_max=p, pf_steps=3),
     "SweepConfig/pfmb": lambda p, rng: SweepConfig.single(0.1, pfmb=p),
+}
+
+INTEGER_ENTRIES = {
+    "SweepConfig/pf_steps": lambda k, rng: SweepConfig(pf_min=0.0, pf_max=1.0, pf_steps=k),
+    "SweepConfig/trials": lambda k, rng: SweepConfig.single(0.1, trials=k),
+    "SweepConfig/workers": lambda k, rng: SweepConfig.single(0.1, workers=k),
+    "run_trials/n": lambda k, rng: run_trials(build_network(1, 0.1), k, rng),
+    "run_trials/workers": lambda k, rng: run_trials(build_network(1, 0.1), 100, rng, workers=k),
+    "run_trials/block_size":
+        lambda k, rng: run_trials(build_network(1, 0.1), 100, rng, block_size=k),
 }
 
 
@@ -95,6 +104,23 @@ def test_every_probability_entry_rejects_non_probabilities(entry, bad):
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         PROBABILITY_ENTRIES[entry](bad, rng)
     assert_untouched(rng)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+@pytest.mark.parametrize("bad", [2.5, "3", math.nan, math.inf])
+def test_every_count_entry_rejects_non_integers(entry, bad):
+    rng = RandomSource(0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        INTEGER_ENTRIES[entry](bad, rng)
+    assert_untouched(rng)
+
+
+@pytest.mark.parametrize("whole", [3, 3.0, np.int64(3)])
+def test_integral_counts_are_stored_as_int(whole):
+    cfg = SweepConfig(pf_min=0.0, pf_max=1.0, pf_steps=whole, trials=whole, workers=whole)
+    assert all(type(v) is int for v in (cfg.pf_steps, cfg.trials, cfg.workers))
+    estimate, _ = run_trials(build_network(1, 0.1), whole, RandomSource(0), whole, whole)
+    assert estimate == run_trials(build_network(1, 0.1), 3, RandomSource(0))[0]
 
 
 @pytest.mark.parametrize("one", [1, np.int64(1), np.uint8(1)])
