@@ -24,13 +24,14 @@ a negative seed).
 Exit codes: 0 success, 2 usage/validation error (including an ``--out``
 path that cannot be written, and a simulation whose smallest block is over
 the cap or needs more memory than can be allocated), 1 internal error.
+
+The fixed reports, the voter classes and ``json`` are imported by the
+commands that use them, when they run, so a CSV ``simulate`` loads none.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
-import json
 import math
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -43,10 +44,7 @@ from .harness import (
     scenario_suite,
     sweep_analytic,
     sweep_monte_carlo,
-    table3_report,
 )
-from .reliability import expansion_audit, proposition_check
-from .voting import enumerate_truth_table
 
 __all__ = ["main", "run", "OutputDocument", "render_csv", "render_json"]
 
@@ -95,6 +93,8 @@ def render_csv(doc: OutputDocument) -> str:
 
 
 def render_json(doc: OutputDocument) -> str:
+    import json
+
     payload = {
         "meta": {"tool": "htmr-lab", "version": __version__}
         | {k: _json_value(v) for k, v in doc.meta.items()},
@@ -129,6 +129,12 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 def _parse_trials(text: str) -> int:
     """Trial count: an integer, also written in float notation such as 1e6."""
+    try:
+        return int(text)
+    except ValueError:
+        # Decimal reads every spelling int takes, to the same value; it is
+        # loaded only for float notation and integers over int's digit limit
+        import decimal
     try:
         value = decimal.Decimal(text)
     except decimal.InvalidOperation:
@@ -198,6 +204,8 @@ def _sweep_rows(rows: list[ComparisonRow]) -> list[tuple]:
 
 
 def cmd_truth_table(args) -> OutputDocument:
+    from .voting import enumerate_truth_table
+
     rows = [
         (t.y1, t.y2, t.y3, outcome.value, outcome.alarm)
         for t, outcome in enumerate_truth_table()
@@ -253,6 +261,8 @@ def cmd_scenarios(args) -> OutputDocument:
 
 
 def cmd_table3(args) -> OutputDocument:
+    from .reports import table3_report
+
     rows = [(row.pf,) + row.ops_presented for row in table3_report()]
     return OutputDocument(
         meta=_meta(args, "table3"),
@@ -262,6 +272,8 @@ def cmd_table3(args) -> OutputDocument:
 
 
 def cmd_proposition(args) -> OutputDocument:
+    from .reports import proposition_check
+
     report = proposition_check(args.pf, args.j_max)
     flags = {j: None if ok is None else "yes" if ok else "no" for j, ok in report.comparisons}
     rows = [(j, pe, flags.get(j)) for j, pe in report.entries]
@@ -277,6 +289,8 @@ AUDIT_DEFAULT_SAMPLES = tuple(k / 10.0 for k in range(1, 10))
 
 
 def cmd_audit(args) -> OutputDocument:
+    from .reports import expansion_audit
+
     samples = (args.pf,) if args.pf is not None else AUDIT_DEFAULT_SAMPLES
     audit = expansion_audit(samples)
     rows = [

@@ -1,4 +1,4 @@
-"""Parameter sweeps and report generation over the models and the simulator.
+"""Parameter sweeps over the models and the simulator.
 
 Every sweep produces flat ``ComparisonRow`` records, one per (module error
 rate, nesting order) pair, strictly ordered by rate and then order, so a
@@ -33,8 +33,6 @@ from .faults import (
 from .network import HtmrNetwork, block_trials, build_network, run_trials
 from .reliability import (
     check_order,
-    operations_per_error,
-    pe_order,
     pem_order,
     reduction_rate,
     tree_error_probability,
@@ -43,7 +41,7 @@ from .reliability import (
 # build_network and run_trials; they stay bound here until the benchmark
 # stops looking them up.
 from .network import tile_scenario  # noqa: F401
-from .reliability import pe_first, scenario_error_probability  # noqa: F401
+from .reliability import pe_first, pe_order, scenario_error_probability  # noqa: F401
 
 __all__ = [
     "SweepConfig",
@@ -51,13 +49,6 @@ __all__ = [
     "sweep_analytic",
     "sweep_monte_carlo",
     "scenario_suite",
-    "Table3Row",
-    "table3_report",
-    "TABLE3_RATES",
-    "floor_to_sig_figs",
-    "present_operations",
-    "ReductionClaims",
-    "reduction_claims_check",
 ]
 
 
@@ -258,87 +249,3 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
         else:
             suite[pattern] = sweep_analytic(sub)
     return suite
-
-
-def floor_to_sig_figs(x: float, figures: int = 2) -> float:
-    """Truncate ``x`` downward to the given number of significant figures."""
-    if x <= 0 or not math.isfinite(x):
-        raise ValueError(f"need a positive finite value, got {x!r}")
-    if figures < 1:
-        raise ValueError(f"figures must be >= 1, got {figures}")
-    exponent = math.floor(math.log10(x))
-    # guard log10 rounding at exact powers of ten
-    if 10.0 ** (exponent + 1) <= x:
-        exponent += 1
-    elif 10.0 ** exponent > x:
-        exponent -= 1
-    scale = 10.0 ** (exponent - figures + 1)
-    return math.floor(x / scale) * scale
-
-
-def present_operations(ops: float) -> str:
-    """Operations-per-error presentation: floor small counts to an integer,
-    truncate large ones to two significant figures."""
-    if ops < 1000.0:
-        return str(int(math.floor(ops)))
-    return f"{floor_to_sig_figs(ops, 2):.1e}"
-
-
-TABLE3_RATES = (0.001, 0.01, 0.1, 0.3, 0.5)
-
-
-@dataclass(frozen=True)
-class Table3Row:
-    pf: float
-    ops_exact: tuple[float, float, float]
-    ops_presented: tuple[str, str, str]
-
-
-def table3_report() -> tuple[Table3Row, ...]:
-    """Operations-per-error at the reference rates for orders 0, 1, 2."""
-    rows = []
-    for pf in TABLE3_RATES:
-        ops = tuple(operations_per_error(pe_order(j, pf)) for j in (0, 1, 2))
-        rows.append(
-            Table3Row(
-                pf=pf,
-                ops_exact=ops,
-                ops_presented=tuple(present_operations(v) for v in ops),
-            )
-        )
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class ReductionClaims:
-    """Headline reduction ratios of the two-level hierarchy at pf = 0.1.
-
-    ``vs_bare`` is pf / pe2 (claimed to exceed 40 at and below this rate),
-    ``vs_one_level`` is (pf / pe2) / (pf / pe1) (claimed to exceed 10).
-    """
-
-    pf: float
-    one_level_ratio: float
-    vs_bare: float
-    vs_one_level: float
-    bare_claim_holds: bool
-    one_level_claim_holds: bool
-
-
-def reduction_claims_check(pf: float = 0.1) -> ReductionClaims:
-    """Evaluate the two headline ratios at ``pf`` (default: 0.1, the edge
-    of the low error-probability region)."""
-    p = check_probability("pf", pf)
-    pe1 = pe_order(1, p)
-    pe2 = pe_order(2, p)
-    one_level = p / pe1
-    vs_bare = p / pe2
-    vs_one_level = vs_bare / one_level
-    return ReductionClaims(
-        pf=p,
-        one_level_ratio=one_level,
-        vs_bare=vs_bare,
-        vs_one_level=vs_one_level,
-        bare_claim_holds=vs_bare > 40.0,
-        one_level_claim_holds=vs_one_level > 10.0,
-    )

@@ -83,7 +83,6 @@ import numpy as np
 
 from .faults import SCRATCH_CELLS, RandomSource, check_integer, check_probability
 from .reliability import check_leaves, check_order
-from .voting import alarm_signal, check_bit, majority_vote
 
 __all__ = [
     "HtmrNetwork",
@@ -178,6 +177,8 @@ def simulate_bit(
     This scalar walk is the reference semantics that the vectorized
     ``run_trials`` is held to.
     """
+    from .voting import alarm_signal, check_bit, majority_vote
+
     reference_bit = check_bit("reference_bit", reference_bit)
     leaves = tile_scenario(net.leaves, net.order)
     faulty_voters = net.voter_fault_rate > 0.0

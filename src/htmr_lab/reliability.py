@@ -21,8 +21,7 @@ arguments raise ``ValueError``. All functions here are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .faults import check_integer, check_probability, make_scenario
 
@@ -38,14 +37,6 @@ __all__ = [
     "reduction_rate",
     "operations_per_error",
     "scenario_error_probability",
-    "PropositionReport",
-    "proposition_check",
-    "ExpansionSample",
-    "ExpansionAudit",
-    "expansion_audit",
-    "evaluate_power_series",
-    "CLAIMED_ORDER2_EXPANSION",
-    "EXACT_ORDER2_EXPANSION",
 ]
 
 # Bound on nesting depth; deeper requests are almost certainly mistakes
@@ -189,106 +180,3 @@ def scenario_error_probability(pattern: str, pf: float) -> float:
     """Output error probability of one voter over an "NNF"-style pattern
     of modules, every faulty one erring with probability ``pf``."""
     return tree_error_probability(make_scenario(pattern, pf), 1)
-
-
-@dataclass(frozen=True)
-class PropositionReport:
-    """Audit of "each extra voting level strictly lowers the error rate".
-
-    ``entries`` holds (level, error probability) for levels 1..j_max;
-    ``comparisons`` holds (level, decreased?) for each adjacent pair. At
-    0 < pf < 1 every level's exact value is positive, so where the earlier
-    level's value has underflowed to 0 the comparison reads ``None``: the
-    floats cannot tell whether the level decreased. At pf = 0 the zeros
-    are exact, and equal zeros read ``False``. The verdict is "holds" if
-    every decided comparison strictly decreased, "violated" if any did not,
-    and "undetermined" if none is decided; the claim provably fails for
-    module error rates at or above one half, and the report simply records
-    that rather than treating it as an error.
-    """
-
-    pf: float
-    entries: tuple[tuple[int, float], ...]
-    comparisons: tuple[tuple[int, bool | None], ...]
-    verdict: str
-
-
-def proposition_check(pf: float, j_max: int) -> PropositionReport:
-    """Evaluate levels 1..j_max and test strict decrease between neighbours."""
-    j_max = check_order("j_max", j_max)
-    if j_max < 2:
-        raise ValueError("proposition_check needs j_max >= 2 to compare levels")
-    p = check_probability("pf", pf)
-    entries = [(j, pe_order(j, p)) for j in range(1, j_max + 1)]
-    comparisons = tuple(
-        (j, None if earlier == 0.0 and p > 0.0 else pe < earlier)
-        for (_, earlier), (j, pe) in zip(entries, entries[1:])
-    )
-    decided = [ok for _, ok in comparisons if ok is not None]
-    verdict = "undetermined" if not decided else "holds" if all(decided) else "violated"
-    return PropositionReport(
-        pf=p, entries=tuple(entries), comparisons=comparisons, verdict=verdict
-    )
-
-
-# Degree-9 expansions of the two-level composition pe_first(pe_first(p)),
-# keyed by power. CLAIMED_ORDER2_EXPANSION is a coefficient set that
-# circulates for this polynomial but is mis-transcribed from the quintic
-# term up; EXACT_ORDER2_EXPANSION is the true expansion (re-derivable
-# symbolically, and cross-checked against the composition in the tests).
-CLAIMED_ORDER2_EXPANSION: Mapping[int, float] = {
-    4: 27.0, 5: -18.0, 6: -42.0, 7: -72.0, 8: 48.0, 9: -16.0,
-}
-EXACT_ORDER2_EXPANSION: Mapping[int, float] = {
-    4: 27.0, 5: -36.0, 6: -42.0, 7: 108.0, 8: -72.0, 9: 16.0,
-}
-
-
-def evaluate_power_series(coefficients: Mapping[int, float], p: float) -> float:
-    """Evaluate sum(c_k * p**k) over the given power -> coefficient map."""
-    return float(sum(c * p ** k for k, c in sorted(coefficients.items())))
-
-
-@dataclass(frozen=True)
-class ExpansionSample:
-    p: float
-    composed: float
-    claimed: float
-    abs_difference: float
-
-
-@dataclass(frozen=True)
-class ExpansionAudit:
-    """Pointwise comparison of the claimed order-2 expansion vs the composition."""
-
-    samples: tuple[ExpansionSample, ...]
-    max_abs_difference: float
-
-
-def expansion_audit(pf_samples: Iterable[float]) -> ExpansionAudit:
-    """Audit the claimed degree-9 expansion of the order-2 error polynomial.
-
-    For each sample the exact order-2 value ``pe_order(2, p)`` (the
-    authoritative form) is evaluated next to the claimed coefficient set,
-    and the absolute deviation is reported; ``EXACT_ORDER2_EXPANSION``
-    holds the coefficients a correct expansion must have.
-    """
-    samples = []
-    for p in pf_samples:
-        p = check_probability("pf sample", p)
-        composed = pe_order(2, p)
-        claimed = evaluate_power_series(CLAIMED_ORDER2_EXPANSION, p)
-        samples.append(
-            ExpansionSample(
-                p=p,
-                composed=composed,
-                claimed=claimed,
-                abs_difference=abs(composed - claimed),
-            )
-        )
-    if not samples:
-        raise ValueError("expansion_audit needs at least one sample point")
-    return ExpansionAudit(
-        samples=tuple(samples),
-        max_abs_difference=max(s.abs_difference for s in samples),
-    )

@@ -18,23 +18,16 @@ import numpy as np
 import pytest
 
 from htmr_lab.faults import RandomSource
-from htmr_lab.harness import (
-    SweepConfig,
-    reduction_claims_check,
-    scenario_suite,
-    sweep_analytic,
-    sweep_monte_carlo,
-    table3_report,
-)
+from htmr_lab.harness import SweepConfig, scenario_suite, sweep_analytic, sweep_monte_carlo
 from htmr_lab.network import build_network, run_trials
-from htmr_lab.reliability import (
+from htmr_lab.reliability import pe_first, pe_order, pem_first
+from htmr_lab.reports import (
     CLAIMED_ORDER2_EXPANSION,
     EXACT_ORDER2_EXPANSION,
     evaluate_power_series,
-    pe_first,
-    pe_order,
-    pem_first,
     proposition_check,
+    reduction_claims_check,
+    table3_report,
 )
 from htmr_lab.voting import TripleInput, vote_with_alarm
 

@@ -1,12 +1,14 @@
 """Command-line interface: flags, exit codes, and serialized formats."""
 
+import argparse
+import decimal
 import json
 
 import numpy as np
 import pytest
 
 from htmr_lab import __version__, network
-from htmr_lab.cli import main
+from htmr_lab.cli import _parse_trials, main
 
 HEADER_PREFIX = f"# htmr-lab v{__version__} seed="
 
@@ -309,6 +311,33 @@ class TestFlagParsing:
         assert out == ""
         assert f"pf must lie in [0, 1], got {float(pf)!r}" in err
         assert "pf_min" not in err
+
+    @pytest.mark.parametrize("text", [
+        "1000", "1_000", " 7 ", "+5", "-5", "1e6", "1E6", "1.0", "10.5", "1e-3",
+        "nan", "inf", "0x10", "1__0", "_1",
+        pytest.param("", id="empty"), pytest.param("9" * 5000, id="5000-digits"),
+    ])
+    def test_trials_parse_as_a_decimal_reads_them(self, text):
+        def by_decimal(text):
+            # the Decimal-only parse that int's fast path must not change
+            try:
+                value = decimal.Decimal(text)
+            except decimal.InvalidOperation:
+                value = None
+            if value is None or not value.is_finite() or value != value.to_integral_value():
+                raise argparse.ArgumentTypeError(
+                    f"expects a whole number of trials such as 1000 or 1e6, got {text!r}"
+                )
+            return int(value)
+
+        try:
+            expected = by_decimal(text)
+        except argparse.ArgumentTypeError as exc:
+            with pytest.raises(argparse.ArgumentTypeError) as got:
+                _parse_trials(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert _parse_trials(text) == expected
 
     @pytest.mark.parametrize("command,orders", [
         (("analytic",), "0,1,2"), (("simulate", "--trials", "100"), "1"),

@@ -5,18 +5,15 @@ import math
 import pytest
 
 from htmr_lab import network
-from htmr_lab.harness import (
-    SweepConfig,
+from htmr_lab.harness import SweepConfig, scenario_suite, sweep_analytic, sweep_monte_carlo
+from htmr_lab.reliability import pe_first, pe_order, pem_first, pem_order
+from htmr_lab.reports import (
     TABLE3_RATES,
     floor_to_sig_figs,
     present_operations,
     reduction_claims_check,
-    scenario_suite,
-    sweep_analytic,
-    sweep_monte_carlo,
     table3_report,
 )
-from htmr_lab.reliability import pe_first, pe_order, pem_first, pem_order
 
 
 class TestSweepConfig:

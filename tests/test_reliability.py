@@ -15,20 +15,22 @@ from hypothesis import given, strategies as st
 
 from htmr_lab.faults import make_scenario
 from htmr_lab.reliability import (
-    CLAIMED_ORDER2_EXPANSION,
-    EXACT_ORDER2_EXPANSION,
     MAX_ORDER,
-    evaluate_power_series,
-    expansion_audit,
     operations_per_error,
     pe_first,
     pe_order,
     pem_first,
     pem_order,
-    proposition_check,
     reduction_rate,
     scenario_error_probability,
     tree_error_probability,
+)
+from htmr_lab.reports import (
+    CLAIMED_ORDER2_EXPANSION,
+    EXACT_ORDER2_EXPANSION,
+    evaluate_power_series,
+    expansion_audit,
+    proposition_check,
 )
 from htmr_lab.voting import majority_vote
 

@@ -7,21 +7,20 @@ import numpy as np
 import pytest
 
 from htmr_lab.faults import SCRATCH_CELLS, RandomSource, check_probability, make_scenario
-from htmr_lab.harness import SweepConfig, reduction_claims_check
+from htmr_lab.harness import SweepConfig
 from htmr_lab.network import build_network, run_trials, simulate_bit
 from htmr_lab.reliability import (
     check_leaves,
-    expansion_audit,
     operations_per_error,
     pe_first,
     pe_order,
     pem_first,
     pem_order,
-    proposition_check,
     reduction_rate,
     scenario_error_probability,
     tree_error_probability,
 )
+from htmr_lab.reports import expansion_audit, proposition_check, reduction_claims_check
 from htmr_lab.voting import (
     TmrRegister,
     TripleInput,
