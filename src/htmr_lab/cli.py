@@ -27,11 +27,15 @@ the cap or needs more memory than can be allocated), 1 internal error.
 
 The fixed reports, the voter classes and ``json`` are imported by the
 commands that use them, when they run, so a CSV ``simulate`` loads none.
+``run()``, the process entry point, freezes the garbage collector once
+``main()`` is done, so the interpreter's exit skips its final collections;
+``main()`` itself never freezes, so it can be called again in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -399,5 +403,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Console-script entry point."""
-    sys.exit(main())
+    """Console-script and ``python -m htmr_lab`` entry point.
+
+    Exits with ``main()``'s code after ``gc.freeze()``, also when argparse
+    raises ``SystemExit``: the interpreter's exit-time collections skip
+    frozen objects, and the process is about to end.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)

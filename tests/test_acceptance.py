@@ -203,7 +203,7 @@ def _cli_bytes(*argv: str) -> bytes:
     return result.stdout
 
 
-def test_c11_byte_identical_documents():
+def test_c11_byte_identical_documents(tmp_path):
     with criterion("C11 determinism across reruns and worker counts"):
         simulate = (
             "simulate", "--order", "2", "--pf", "0.1",
@@ -213,6 +213,10 @@ def test_c11_byte_identical_documents():
         again = _cli_bytes(*simulate)
         threaded = _cli_bytes(*simulate, "--workers", "3")
         assert first == again == threaded
+        # a process that ends after run()'s gc.freeze() still flushes its file
+        out = tmp_path / "simulate.csv"
+        assert _cli_bytes(*simulate, "--out", str(out)) == b""
+        assert out.read_bytes() == first
         sweep = (
             "simulate", "--pf-min", "0", "--pf-max", "1", "--pf-steps", "11",
             "--orders", "1,2", "--trials", "2000", "--seed", "9",

@@ -2,12 +2,14 @@
 
 import argparse
 import decimal
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from htmr_lab import __version__, network
+from htmr_lab import __version__, cli, network
 from htmr_lab.cli import _parse_trials, main
 
 HEADER_PREFIX = f"# htmr-lab v{__version__} seed="
@@ -479,3 +481,37 @@ class TestOutputPlumbing:
         _, rows = data_rows(out)
         cells = rows[0].split(",")
         assert cells[4] == "1.63674613165"  # log10(0.1 / 0.002308096), 12 digits
+
+
+class TestRun:
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Record ``main()``'s start and end and each ``gc.freeze()`` call,
+        with the freeze replaced, so nothing in the session is frozen."""
+        events = []
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+        def recorded_main(argv=None):
+            events.append("main")
+            try:
+                return main(argv)
+            finally:
+                events.append("main done")
+
+        monkeypatch.setattr(cli, "main", recorded_main)
+        return events
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analytic", "--pf", "0.1", "--orders", "2"], 0),
+        (["analytic", "--pf", "1.5"], 2),
+        (["--version"], 0),  # argparse raises SystemExit
+        (["simulate", "--pf", "0.1"], 2),  # argparse usage error: no --trials
+    ])
+    def test_freezes_after_main_then_exits_with_its_code(
+        self, monkeypatch, capsys, events, argv, code
+    ):
+        monkeypatch.setattr(sys, "argv", ["htmr-lab", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert events == ["main", "main done", "freeze"]
