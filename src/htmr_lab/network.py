@@ -12,13 +12,13 @@ network holds its leaves the way ``reliability.tree_error_probability``
 takes them: 3**k rates, k <= j, repeated across the 3**j leaves, so one
 rate describes a uniform tree and a triple describes a tiled scenario.
 
-Every voter shares the same fault rate: with that probability its data
-path fails and it passes its first child through un-voted, otherwise it
-emits the majority of its children. The disagreement alarm is computed
-from the children either way (the alarm logic is a parallel tap, not part
-of the failed data path). ``run_trials`` returns the alarms as a
-``FaultStatusCounter``: voter ``v``'s observed alarm frequency is
-``counter.alarm_counts[v] / counter.trials``.
+Every voter shares the same fault rate and follows ``reliability.voter``:
+with that probability its data path fails and it passes its first child
+through un-voted, otherwise it emits the majority of its children. The
+disagreement alarm is a parallel tap, raised from the children either
+way. ``run_trials`` returns the alarms as a ``FaultStatusCounter``: voter
+``v``'s observed alarm frequency is ``counter.alarm_counts[v] /
+counter.trials``.
 
 Draw order: a trial's fault bits come in a fixed order. Leaves at a
 nonzero rate come first (left to right), then, when the voter fault rate is
@@ -82,7 +82,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .faults import SCRATCH_CELLS, RandomSource, check_integer, check_probability
-from .reliability import check_leaves, check_order
+from .reliability import check_leaves, check_order, voter
 
 __all__ = [
     "HtmrNetwork",
@@ -171,13 +171,13 @@ def simulate_bit(
 
     ``hits`` holds one trial's fault bits in draw order: a set bit inverts
     its leaf's output or makes its voter pass its first child through. Each
-    level votes consecutive triples of the level below, then applies its
-    voters' fault bits left to right. Returns the root output and the
+    level votes consecutive triples of the level below with ``voter``, its
+    voters' fault bits taken left to right. Returns the root output and the
     per-voter alarm bits, root level first (breadth-first voter indices).
     This scalar walk is the reference semantics that the vectorized
     ``run_trials`` is held to.
     """
-    from .voting import alarm_signal, check_bit, majority_vote
+    from .voting import check_bit
 
     reference_bit = check_bit("reference_bit", reference_bit)
     leaves = tile_scenario(net.leaves, net.order)
@@ -190,11 +190,12 @@ def simulate_bit(
     level = [reference_bit ^ next(bits) if leaf > 0.0 else reference_bit for leaf in leaves]
     alarms: list[int] = []
     while len(level) > 1:
-        triples = [level[i:i + 3] for i in range(0, len(level), 3)]
-        alarms = [alarm_signal(t) for t in triples] + alarms
-        level = [majority_vote(t) for t in triples]
-        if faulty_voters:
-            level = [t[0] if next(bits) else v for t, v in zip(triples, level)]
+        voted = [
+            voter(*level[i:i + 3], next(bits) if faulty_voters else 0)
+            for i in range(0, len(level), 3)
+        ]
+        level = [out for out, _ in voted]
+        alarms = [alarm for _, alarm in voted] + alarms
     return level[0], tuple(alarms)
 
 
@@ -246,9 +247,9 @@ def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
     ``lanes`` holds one packed row per fault bit in draw order (leaves at a
     nonzero rate, then voters bottom-up when the voter fault rate is
     nonzero), a trial per lane, with zero padding lanes; ``drawn`` marks
-    the leaves that have a row. Every level votes whole words. Rows carry
-    error bits, so a block is bit-identical to running ``simulate_bit`` on
-    each of its trials.
+    the leaves that have a row. Every level votes whole words with one
+    ``voter`` call. Rows carry error bits, so a block is bit-identical to
+    running ``simulate_bit`` on each of its trials.
     """
     col = int(np.count_nonzero(drawn))
     if col == net.leaf_count:
@@ -263,14 +264,11 @@ def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
         a, b, c = x[0::3], x[1::3], x[2::3]
         w = len(a)
         first -= w
-        alarm_counts[first:first + w] = np.bitwise_count((a ^ b) | (a ^ c)).sum(
-            axis=1, dtype=np.int64
-        )
-        x = (a & b) | (c & (a | b))
+        f = 0
         if net.voter_fault_rate > 0.0:
-            # a failed voter passes its first child through
-            x ^= (x ^ a) & lanes[col:col + w]
-            col += w
+            f, col = lanes[col:col + w], col + w
+        x, alarm = voter(a, b, c, f)
+        alarm_counts[first:first + w] = np.bitwise_count(alarm).sum(axis=1, dtype=np.int64)
     return int(np.bitwise_count(x[0]).sum()), alarm_counts
 
 

@@ -20,6 +20,7 @@ arguments raise ``ValueError``. All functions here are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "check_order",
     "check_leaves",
     "pe_first",
+    "voter",
     "tree_error_probability",
     "pem_first",
     "pe_order",
@@ -79,13 +81,33 @@ def pe_first(pf: float) -> float:
     return min(3.0 * p * p - 2.0 * p * p * p, 1.0)
 
 
+def voter(a, b, c, f):
+    """The voter's ``(out, alarm)``, on 0/1 ints or lane-wise on ``uint64`` words.
+
+    ``out`` is the majority of a, b, c, or ``a`` where the fault bit f is
+    set; ``alarm`` is ``(a ^ b) | (a ^ c)`` either way. Inverting a, b, c
+    inverts ``out`` and keeps ``alarm``, so the rule votes error bits too.
+    """
+    d, ac = a ^ b, a ^ c
+    alarm = d | ac
+    d &= ac  # a is outvoted ...
+    del ac  # one level's words fewer at the memory peak
+    d ^= d & f  # ... unless the voter failed and passes a through
+    d ^= a
+    return d, alarm
+
+
 def _voter_error(q: float, pa: float, pb: float, pc: float) -> float:
     """Error probability of one voter over independent children a, b, c."""
     if pa == pb == pc:
-        majority = pe_first(pa)
-    else:
-        majority = min(pa * pb + pa * pc + pb * pc - 2.0 * pa * pb * pc, 1.0)
-    return q * pa + (1.0 - q) * majority
+        # pe_first's polynomial, kept so pinned documents keep their last ulp
+        return q * pa + (1.0 - q) * pe_first(pa)
+    rates = (pa, pb, pc, q)
+    total = sum(
+        voter(*bits)[0] * math.prod(r if bit else 1.0 - r for r, bit in zip(rates, bits))
+        for bits in itertools.product((0, 1), repeat=4)
+    )
+    return min(total, 1.0)
 
 
 def tree_error_probability(
@@ -96,15 +118,14 @@ def tree_error_probability(
     ``leaves`` holds 3**k leaf error rates, k <= ``order``, repeated across
     the 3**order leaves of the tree the way ``network.tile_scenario``
     repeats them. Every voter fails with probability ``voter_fault_rate``
-    and then passes its first child through, otherwise it votes. The
-    children of a voter are disjoint subtrees, so they err independently and
-    a voter over children erring at p_a, p_b, p_c errs with
-
-        p_v = q*p_a + (1 - q)*(p_a p_b + p_a p_c + p_b p_c - 2 p_a p_b p_c)
-
-    (Lyons & Vanderkulk, IBM J. Res. Dev. 6(2), 1962). The tree is worked
-    bottom-up in O(3**k + order) steps; a voter whose three children err
-    equally takes its majority term from ``pe_first``.
+    and then passes its first child through, otherwise it votes (``voter``).
+    The children of a voter are disjoint subtrees, so they err independently
+    (Lyons & Vanderkulk, IBM J. Res. Dev. 6(2), 1962), and a voter over
+    children erring at p_a, p_b, p_c errs with the sum of ``voter``'s output
+    over its 16 input cases, each weighted by its four probabilities. A
+    voter whose three children err equally at p takes q*p + (1 - q) *
+    ``pe_first(p)`` instead. The tree is worked bottom-up in O(3**k + order)
+    steps.
     """
     order = check_order("order", order)
     q = check_probability("voter_fault_rate", voter_fault_rate)

@@ -1,9 +1,11 @@
 """Structural simulator: topology, draw order, masking, and determinism.
 
 The vectorized ``run_trials`` is held bit-exactly to the scalar
-``simulate_bit`` walk on the same fault bits, which in turn leans on the
-exhaustively tested voter truth table -- the two routes share no
-evaluation code beyond the block's fault bits.
+``simulate_bit`` walk on the same fault bits. Both routes now call one
+voter rule, ``reliability.voter``, so this chain checks the walk: the
+levels, the triples, the draw order of the fault bits and the alarm
+indices. The rule's logic is checked on its own against ``voting``'s gate
+forms (``tests/test_reliability.py::TestVoter``).
 """
 
 import math

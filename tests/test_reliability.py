@@ -24,6 +24,7 @@ from htmr_lab.reliability import (
     reduction_rate,
     scenario_error_probability,
     tree_error_probability,
+    voter,
 )
 from htmr_lab.reports import (
     CLAIMED_ORDER2_EXPANSION,
@@ -32,7 +33,7 @@ from htmr_lab.reports import (
     expansion_audit,
     proposition_check,
 )
-from htmr_lab.voting import majority_vote
+from htmr_lab.voting import alarm_signal, majority_vote
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -223,6 +224,53 @@ class TestScenarioErrorProbability:
             scenario_error_probability("NFX", 0.1)
 
 
+VOTER_CASES = list(product((0, 1), repeat=4))
+
+
+def gate_voter(a, b, c, f):
+    """The voter rule from ``voting``'s gate forms: majority or pass-through, and alarm."""
+    return (a if f else majority_vote((a, b, c))), alarm_signal((a, b, c))
+
+
+def word_lanes(word) -> list[int]:
+    """The 64 lanes of a ``uint64`` word as ints, lane t = bit t."""
+    return [int(word) >> t & 1 for t in range(64)]
+
+
+class TestVoter:
+    def test_all_sixteen_cases_on_ints(self):
+        for a, b, c, f in VOTER_CASES:
+            assert voter(a, b, c, f) == gate_voter(a, b, c, f), (a, b, c, f)
+
+    def test_sixteen_cases_as_lanes_of_one_word(self):
+        # case i is lane i of each input word; lanes 16..63 are all zero
+        words = [
+            np.array([sum(case[j] << i for i, case in enumerate(VOTER_CASES))], dtype=np.uint64)
+            for j in range(4)
+        ]
+        out, alarm = (word_lanes(word[0]) for word in voter(*words))
+        for i, case in enumerate(VOTER_CASES):
+            assert (out[i], alarm[i]) == gate_voter(*case), case
+        assert out[16:] == alarm[16:] == [0] * 48
+
+    def test_random_words_lane_by_lane(self):
+        words = np.random.default_rng(18).integers(0, 2**64, size=(4, 64), dtype=np.uint64)
+        before = words.copy()
+        out, alarm = voter(*words)
+        np.testing.assert_array_equal(words, before)  # the inputs are left as they were
+        for w in range(64):
+            cases = zip(*(word_lanes(row[w]) for row in words))
+            got = zip(word_lanes(out[w]), word_lanes(alarm[w]))
+            for t, (case, lane) in enumerate(zip(cases, got)):
+                assert lane == voter(*case), (w, t)
+
+    def test_inverting_the_inputs_inverts_the_output_and_keeps_the_alarm(self):
+        # so the block kernel may vote on error bits instead of data bits
+        for a, b, c, f in VOTER_CASES:
+            out, alarm = voter(a, b, c, f)
+            assert voter(a ^ 1, b ^ 1, c ^ 1, f) == (out ^ 1, alarm), (a, b, c, f)
+
+
 def tree_error_bruteforce(leaves, order: int, q: float) -> float:
     """Independent oracle: enumerate every leaf-error and voter-fault
     pattern of the tiled tree, push the error bits up with the voter truth
@@ -246,11 +294,23 @@ def tree_error_bruteforce(leaves, order: int, q: float) -> float:
 MIXED_LEAVES = (0.3, 0.0, 1.0, 0.7, 0.15, 0.0, 0.45, 1.0, 0.9)
 
 
+def seeded_leaves(seed: int, k: int) -> tuple[float, ...]:
+    """3**k seeded random leaf rates, two of them set to 0 and 1."""
+    rng = np.random.default_rng(seed)
+    rates = rng.random(3 ** k)
+    rates[rng.choice(3 ** k, size=2, replace=False)] = 0.0, 1.0
+    return tuple(rates.tolist())
+
+
 class TestTreeErrorProbability:
-    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("order,k", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
-    def test_matches_bruteforce_enumeration(self, order, k, q):
-        leaves = MIXED_LEAVES[:3 ** k]
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0, 0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("order,leaves", [
+        *(pytest.param(order, MIXED_LEAVES[:3 ** k], id=f"{order}-{k}")
+          for order, k in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]),
+        *(pytest.param(order, seeded_leaves(seed, k), id=f"{order}-{k}-seed{seed}")
+          for order, k, seed in [(1, 1, 1), (1, 1, 2), (2, 1, 3), (2, 2, 4), (2, 2, 5)]),
+    ])
+    def test_matches_bruteforce_enumeration(self, order, leaves, q):
         assert tree_error_probability(leaves, order, q) == pytest.approx(
             tree_error_bruteforce(leaves, order, q), rel=1e-12, abs=1e-15
         )
