@@ -240,7 +240,7 @@ def cmd_simulate(args) -> OutputDocument:
         **_sweep_echo(cfg),
         pfmb=cfg.pfmb,
         trials=cfg.trials,
-        streams="derive(point,order,block)@5",
+        streams="derive(point,top,block)@6",
     )
     if args.scenario:
         meta["scenario"] = args.scenario
@@ -259,7 +259,7 @@ def cmd_scenarios(args) -> OutputDocument:
         "scenarios",
         **_sweep_echo(cfg),
         trials=cfg.trials,
-        streams="derive(scenario,point,order,block)@5",
+        streams="derive(scenario,point,top,block)@6",
     )
     return OutputDocument(meta=meta, columns=SWEEP_COLUMNS + ("scenario",), rows=rows)
 

@@ -9,10 +9,13 @@ alone. The paper's comparison of the two hierarchy depths at very low
 rates is an analytic sweep of orders 1 and 2 on a logarithmic grid: the
 per-module gap at a point is order 2's ``re_per_module`` minus order 1's.
 
-Monte-Carlo sweeps derive one random stream per (grid point, order) --
-and per scenario, for the scenario suite -- from the master seed, so
-points are independent work units and may be evaluated in any order or in
-parallel without changing the results.
+A Monte-Carlo sweep runs one unit per grid point -- and per scenario, for
+the scenario suite -- on a stream derived from the master seed: the
+network of the highest requested order. Every lower order's row is read
+off the same trials, from the leftmost subtree of that order, so the rows
+of one point share their trials (common random numbers). Points are
+independent work units and may be evaluated in any order or in parallel
+without changing the results.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .faults import (
     check_probability,
     make_scenario,
 )
-from .network import HtmrNetwork, block_trials, build_network, run_trials
+from .network import block_trials, build_network, run_trials
 from .reliability import (
     check_order,
     pem_order,
@@ -190,39 +193,40 @@ def sweep_analytic(cfg: SweepConfig) -> list[ComparisonRow]:
     ]
 
 
-def _empirical_row(
-    cfg: SweepConfig, pf: float, order: int, net: HtmrNetwork, stream: RandomSource
-) -> ComparisonRow:
-    row = _analytic_row(cfg, pf, order)
-    # the block width is passed by name: perfbench/tracer.py counts blocks from it
-    estimate, _ = run_trials(
-        net, cfg.trials, stream, workers=cfg.workers, block_size=block_trials(net)
-    )
-    return replace(
-        row, pe_hat=estimate.pe_hat, std_err=estimate.std_err, trials=estimate.trials
-    )
-
-
 def _empirical_rows(cfg: SweepConfig, master: RandomSource) -> list[ComparisonRow]:
+    # the leftmost order-k subtree of the top network has the leaves and the
+    # voter fault rate of the order-k network: uniform leaves, or a
+    # scenario's triple tiled under every bottom voter
+    top = cfg.orders[-1]
     units = [
-        (i, pf, order, build_network(order, cfg.leaves_at(pf), voter_fault_rate=cfg.pfmb_at(pf)))
+        (i, pf, build_network(top, cfg.leaves_at(pf), voter_fault_rate=cfg.pfmb_at(pf)))
         for i, pf in enumerate(cfg.pf_values())
-        for order in cfg.orders
     ]
     for *_, net in units:
         block_trials(net)  # refuses an order too large to simulate before any unit runs
-    return [
-        _empirical_row(cfg, pf, order, net, master.derive(i, order))
-        for i, pf, order, net in units
-    ]
+    rows = []
+    for i, pf, net in units:
+        # the block width is passed by name: perfbench/tracer.py counts blocks from it
+        estimate, _ = run_trials(
+            net, cfg.trials, master.derive(i, top), workers=cfg.workers,
+            block_size=block_trials(net),
+        )
+        for order in cfg.orders:
+            sub = estimate.subtree(order)
+            rows.append(replace(
+                _analytic_row(cfg, pf, order),
+                pe_hat=sub.pe_hat, std_err=sub.std_err, trials=sub.trials,
+            ))
+    return rows
 
 
 def sweep_monte_carlo(cfg: SweepConfig) -> list[ComparisonRow]:
     """Grid sweep carrying both analytic and empirical columns.
 
-    The stream for grid point ``i`` and order ``j`` is
-    ``RandomSource(seed).derive(i, j)``; for scenario sweeps see
-    ``scenario_suite``.
+    Grid point ``i`` runs one network, of the highest requested order
+    ``top``, on the stream ``RandomSource(seed).derive(i, top)``, and every
+    requested order's row is read off those trials; for scenario sweeps
+    see ``scenario_suite``.
     """
     if cfg.trials < 1:
         raise ValueError("an empirical sweep needs trials >= 1")
@@ -234,8 +238,10 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
 
     Every scenario is tiled across each requested order (the same pattern
     on every bottom triple). With ``trials`` = 0 the rows are analytic
-    only, otherwise the stream for scenario ``s``, point ``i``, order
-    ``j`` is ``RandomSource(seed).derive(s, i, j)``.
+    only. Otherwise scenario ``s`` at point ``i`` runs one network, of the
+    highest requested order ``top``, on the stream
+    ``RandomSource(seed).derive(s, i, top)``, and every requested order's
+    row is read off those trials, as in ``sweep_monte_carlo``.
     """
     if cfg.scenario is not None:
         raise ValueError("scenario_suite runs all scenarios; leave cfg.scenario unset")

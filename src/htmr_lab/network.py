@@ -20,6 +20,11 @@ way. ``run_trials`` returns the alarms as a ``FaultStatusCounter``: voter
 ``v``'s observed alarm frequency is ``counter.alarm_counts[v] /
 counter.trials``.
 
+An order-j tree is three order-(j - 1) trees under one voter, so each of
+its trials holds one trial of every lower order k: the leftmost order-k
+subtree, whose root is the first node of level k. ``run_trials`` counts
+the errors of those roots too (``EmpiricalEstimate.subtree``).
+
 Draw order: a trial's fault bits come in a fixed order. Leaves at a
 nonzero rate come first (left to right), then, when the voter fault rate is
 nonzero, one bit per voter, bottom level first, left to right within a
@@ -201,10 +206,16 @@ def simulate_bit(
 
 @dataclass(frozen=True)
 class EmpiricalEstimate:
-    """Monte-Carlo error-probability estimate with its binomial standard error."""
+    """Monte-Carlo error-probability estimate with its binomial standard error.
+
+    ``subtree_errors[k]``, where given, counts the errors of the root of
+    the leftmost order-k subtree over the same trials, k = 0..order; the
+    last entry is ``errors``.
+    """
 
     trials: int
     errors: int
+    subtree_errors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -213,6 +224,10 @@ class EmpiricalEstimate:
             raise ValueError(
                 f"errors must lie in 0..trials ({self.trials}), got {self.errors}"
             )
+
+    def subtree(self, k: int) -> "EmpiricalEstimate":
+        """The estimate of the leftmost order-``k`` subtree, from the same trials."""
+        return EmpiricalEstimate(trials=self.trials, errors=self.subtree_errors[k])
 
     @property
     def pe_hat(self) -> float:
@@ -249,7 +264,9 @@ def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
     nonzero), a trial per lane, with zero padding lanes; ``drawn`` marks
     the leaves that have a row. Every level votes whole words with one
     ``voter`` call. Rows carry error bits, so a block is bit-identical to
-    running ``simulate_bit`` on each of its trials.
+    running ``simulate_bit`` on each of its trials. Returns the errors of
+    the first node of every level, leaves first (the root of the leftmost
+    order-k subtree at level k), and every voter's alarm count.
     """
     col = int(np.count_nonzero(drawn))
     if col == net.leaf_count:
@@ -257,19 +274,22 @@ def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
     else:
         x = np.zeros((net.leaf_count, lanes.shape[1]), dtype=np.uint64)
         x[drawn] = lanes[:col]
+    errors = np.zeros(net.order + 1, dtype=np.int64)
+    errors[0] = np.bitwise_count(x[0]).sum()
     alarm_counts = np.zeros(net.voter_count, dtype=np.int64)
     first = net.voter_count
-    while len(x) > 1:
+    for k in range(1, net.order + 1):
         # the children of a level's voters are consecutive triples of rows
         a, b, c = x[0::3], x[1::3], x[2::3]
         w = len(a)
         first -= w
-        f = 0
+        f = None
         if net.voter_fault_rate > 0.0:
             f, col = lanes[col:col + w], col + w
         x, alarm = voter(a, b, c, f)
         alarm_counts[first:first + w] = np.bitwise_count(alarm).sum(axis=1, dtype=np.int64)
-    return int(np.bitwise_count(x[0]).sum()), alarm_counts
+        errors[k] = np.bitwise_count(x[0]).sum()
+    return errors, alarm_counts
 
 
 def _processors() -> int:
@@ -400,9 +420,11 @@ def run_trials(
     and ``n``, never on ``workers``: any worker count yields the identical
     estimate and alarm counter. A network with no fault bits derives no
     block stream. Errors are trials whose root output differs from the
-    reference bit. ``n`` is an integer in 1..2**63 - 1, the range of the
-    int64 alarm counters. A network too large for one 64-trial block (see
-    ``block_trials``) is refused before anything is drawn.
+    reference bit, and ``estimate.subtree(k)`` counts the root of the
+    leftmost order-k subtree on the same trials. ``n`` is an integer in
+    1..2**63 - 1, the range of the int64 counters. A network too large for
+    one 64-trial block (see ``block_trials``) is refused before anything is
+    drawn.
 
     The calling thread and up to ``workers - 1`` helper threads claim
     blocks by index. There are never more threads in all than there are
@@ -441,7 +463,8 @@ def run_trials(
     def work():
         # claim blocks by index until none are left or any thread has failed;
         # every block's bits are drawn into this thread's workspace
-        errors, counts = 0, np.zeros(net.voter_count, dtype=np.int64)
+        errors = np.zeros(net.order + 1, dtype=np.int64)
+        counts = np.zeros(net.voter_count, dtype=np.int64)
         try:
             buffers = _block_buffers(runs, min(block_size, n))
             while not failures and (b := next(claims)) < blocks:
@@ -466,8 +489,10 @@ def run_trials(
     if failures:
         raise failures[0]
 
-    errors = sum(errors for errors, _ in sums)
+    subtree_errors = tuple(int(e) for e in sum(errors for errors, _ in sums))
     alarm_counts = tuple(int(c) for c in sum(counts for _, counts in sums))
-    estimate = EmpiricalEstimate(trials=n, errors=errors)
+    estimate = EmpiricalEstimate(
+        trials=n, errors=subtree_errors[-1], subtree_errors=subtree_errors
+    )
     counter = FaultStatusCounter(alarm_counts=alarm_counts, trials=n)
     return estimate, counter

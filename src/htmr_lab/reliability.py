@@ -81,18 +81,20 @@ def pe_first(pf: float) -> float:
     return min(3.0 * p * p - 2.0 * p * p * p, 1.0)
 
 
-def voter(a, b, c, f):
+def voter(a, b, c, f=None):
     """The voter's ``(out, alarm)``, on 0/1 ints or lane-wise on ``uint64`` words.
 
     ``out`` is the majority of a, b, c, or ``a`` where the fault bit f is
-    set; ``alarm`` is ``(a ^ b) | (a ^ c)`` either way. Inverting a, b, c
-    inverts ``out`` and keeps ``alarm``, so the rule votes error bits too.
+    set; ``alarm`` is ``(a ^ b) | (a ^ c)`` either way. ``f`` = None is a
+    voter that cannot fail. Inverting a, b, c inverts ``out`` and keeps
+    ``alarm``, so the rule votes error bits too.
     """
     d, ac = a ^ b, a ^ c
     alarm = d | ac
     d &= ac  # a is outvoted ...
     del ac  # one level's words fewer at the memory peak
-    d ^= d & f  # ... unless the voter failed and passes a through
+    if f is not None:
+        d ^= d & f  # ... unless the voter failed and passes a through
     d ^= a
     return d, alarm
 

@@ -153,6 +153,26 @@ class TestSimulate:
         assert len(started) == 0 + 1 + 2
         assert documents[0] == documents[1] == documents[2]
 
+    @pytest.mark.parametrize("orders,flags", [
+        ("0,1,2", ()),
+        ("0,1,2", ("--pfmb", "pf")),
+        ("1,2", ("--scenario", "NFF")),
+        ("0,1,3", ("--pfmb", "0.1")),
+    ])
+    def test_top_order_rows_are_the_rows_of_the_top_order_alone(self, capsys, orders, flags):
+        # every grid point runs the top order's tree once; the lower orders
+        # are read off its trials and leave its rows byte for byte as they are
+        top = orders.split(",")[-1]
+        base = ("simulate", "--pf-min", "0", "--pf-max", "1", "--pf-steps", "5",
+                "--trials", "30000", "--seed", "6") + flags
+        _, alone, _ = run_cli(capsys, *base, "--orders", top)
+        _, together, _ = run_cli(capsys, *base, "--orders", orders)
+        _, alone_rows = data_rows(alone)
+        _, rows = data_rows(together)
+        assert len(alone_rows) == 5
+        assert [row for row in rows if row.split(",")[1] == top] == alone_rows
+        assert " streams=derive(point,top,block)@6" in together.splitlines()[0]
+
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--pf", "0.1", "--trials", "0")
         assert code == 2

@@ -22,35 +22,35 @@ DOCUMENTS = {
     "protocol21": (
         "simulate --pf-min 0 --pf-max 1 --pf-steps 21 --orders 0,1,2 --trials 1e5 "
         "--workers 2",
-        "480822545c44565a64f1481db74e058d3584d28c747720d7ca6b308b8c11b92f",
+        "aab38a806b6e1b093b15276a3326d5e167542758c0ed05591a94773b734d2689",
     ),
     # rate-0 leaves under faulty voters: no error and no alarm can occur
     "fault_free_leaves_voter_faults": (
         "simulate --pf 0 --pfmb 0.1 --orders 0,1,2,3 --trials 5000",
-        "3168c5df9eaab069793c50e91fe77dd2ab1b5fde2693329ad27b73353e899eb6",
+        "9781d8aba96db172bcca56a39000461407d513c894b7e5f4ef1f879302cc95ba",
     ),
     "always_wrong_leaves_voter_faults": (
         "simulate --pf 1 --pfmb 0.1 --orders 0,1,2 --trials 5000",
-        "03bd1ba0f672973ad2adaa771a3c8dce3a00f4ae124d31a0a013e6a94316a9d9",
+        "f234be4fde1b66f8e06a20d17727c321badc68b1e2adf98d5e92fa2147256d22",
     ),
     # every rate below 1/32: the sampler draws only its Poisson residual
     "residual_only_low_rates": (
         "simulate --pf 0.01 --pfmb 0.02 --orders 0,1,2,3 --trials 20000 --seed 9",
-        "5fc6f6387266822ab242579c6668b2c51c304078a42fc6e7c781a21baca56542",
+        "97b8599e426a6dedfdd4d263957a2894c3cd9ea38f898bfa8df29eca086df9d9",
     ),
     "order3_voter_faults": (
         "simulate --pf 0.1 --order 3 --pfmb pf --trials 20000 --seed 7",
-        "5014e9b311665398b4ea177f434138d74be796928792a8f119c95ca6ad0a48b6",
+        "8bdf33894f1ff2fa190bf1274303b7cb3b325ba70a63de46f841bfc8ad0d00d2",
     ),
     "scenario_nff_json": (
         "simulate --pf-min 0.1 --pf-max 0.3 --pf-steps 3 --orders 1,2 --scenario NFF "
         "--trials 20000 --seed 5 --format json",
-        "b7bda937db3586aa4bfe7c5559cce5bbd7a341f6afdd1d8e1e0a775c37063603",
+        "20db969356200a56077929a8775021ad12cb4729283afc39c30f5c1a06e2744b",
     ),
     "scenarios_trials": (
         "scenarios --pf-min 0.05 --pf-max 0.45 --pf-steps 3 --orders 1,2,3 "
         "--trials 10000 --seed 11",
-        "bf2f1c7ef5d4b54fb221093e95abeb52ca73e9b189f0edc13d47e1576453de42",
+        "ed6a09a7cbe73d51b434552ce6d8966762d33576650cc58b255af14b3906e504",
     ),
     "analytic_pfmb_pf": (
         "analytic --pf-min 0 --pf-max 1 --pf-steps 11 --orders 0,1,2,3,4 --pfmb pf",

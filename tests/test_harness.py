@@ -4,9 +4,16 @@ import math
 
 import pytest
 
-from htmr_lab import network
+from htmr_lab import harness, network
+from htmr_lab.faults import RandomSource
 from htmr_lab.harness import SweepConfig, scenario_suite, sweep_analytic, sweep_monte_carlo
-from htmr_lab.reliability import pe_first, pe_order, pem_first, pem_order
+from htmr_lab.reliability import (
+    pe_first,
+    pe_order,
+    pem_first,
+    pem_order,
+    tree_error_probability,
+)
 from htmr_lab.reports import (
     TABLE3_RATES,
     floor_to_sig_figs,
@@ -173,6 +180,66 @@ class TestSweepMonteCarlo:
             for workers in (1, 2, 3)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+
+def record_draws(monkeypatch):
+    """Log every ``run_trials`` call's network and every drawn (rows, lanes) run."""
+    calls, draws = [], []
+    run_trials, bernoulli_lanes = harness.run_trials, RandomSource.bernoulli_lanes
+
+    def counted_run_trials(net, *args, **kwargs):
+        calls.append(net)
+        return run_trials(net, *args, **kwargs)
+
+    def counted_lanes(self, out, m, rate, cells):
+        draws.append((out.shape[0], m))
+        return bernoulli_lanes(self, out, m, rate, cells)
+
+    monkeypatch.setattr(harness, "run_trials", counted_run_trials)
+    monkeypatch.setattr(RandomSource, "bernoulli_lanes", counted_lanes)
+    return calls, draws
+
+
+class TestOneTreePerPoint:
+    """A sweep runs the top order once per point and reads the lower orders off it."""
+
+    @pytest.mark.parametrize("suite", [False, True])
+    def test_lower_orders_draw_no_rows_of_their_own(self, monkeypatch, suite):
+        grid = dict(pf_min=0.0, pf_max=1.0, pf_steps=21, trials=3_000, seed=4)
+        sweep = scenario_suite if suite else sweep_monte_carlo
+        lower = (1, 2) if suite else (0, 1, 2)
+        calls, draws = record_draws(monkeypatch)
+        sweep(SweepConfig(orders=(2,), **grid))
+        top_calls, top_draws = list(calls), list(draws)
+        calls.clear()
+        draws.clear()
+        sweep(SweepConfig(orders=lower, **grid))
+        assert len(top_calls) == 21 * (3 if suite else 1)
+        assert all(net.order == 2 for net in calls)
+        assert calls == top_calls
+        assert draws == top_draws
+
+    @pytest.mark.parametrize("pfmb", [0.0, "pf"])
+    def test_every_order_tracks_the_exact_tree(self, pfmb):
+        # 21 points at 10**5 trials, orders 0-3. The rows of one order are
+        # independent across points (one stream a point), so each order's
+        # sum of z**2 is chi-square with one degree of freedom a row whose
+        # model lies strictly between 0 and 1; the rows of one point share
+        # their trials, so the orders are not pooled. 67.15 is the
+        # chi-square(21) quantile at p = 1e-6, an upper bound for fewer rows
+        n, orders = 10**5, (0, 1, 2, 3)
+        cfg = SweepConfig(pf_min=0.0, pf_max=1.0, pf_steps=21, orders=orders, pfmb=pfmb,
+                          trials=n, seed=19)
+        chi2 = dict.fromkeys(orders, 0.0)
+        for row in sweep_monte_carlo(cfg):
+            exact = tree_error_probability((row.pf,), row.order, cfg.pfmb_at(row.pf))
+            if exact in (0.0, 1.0):
+                assert row.pe_hat == exact
+                continue
+            z = (row.pe_hat - exact) / math.sqrt(exact * (1.0 - exact) / n)
+            assert abs(z) <= 5.0, (row.pf, row.order, z)
+            chi2[row.order] += z * z
+        assert all(total < 67.15 for total in chi2.values()), chi2
 
 
 class TestScenarioSuite:

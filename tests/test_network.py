@@ -448,12 +448,70 @@ class TestRunTrialsDeterminism:
         assert all(0.0 < rate < 1 / 16 for rate in rates)
 
 
+def subtree_rows(net, k):
+    """Block rows of the leftmost order-``k`` subtree of ``net``, in its draw order.
+
+    Its leaves are leaves 0..3**k - 1 of ``net``, so their rows are the
+    first of the leaf rows; at each level its voters are the first of that
+    level's voters, so their fault rows are the first of the level's rows.
+    """
+    drawn = [rate > 0.0 for rate in tile_scenario(net.leaves, net.order)]
+    rows = list(range(sum(drawn[:3 ** k])))
+    if net.voter_fault_rate > 0.0:
+        first = sum(drawn)
+        for level in range(1, k + 1):
+            rows += range(first, first + 3 ** (k - level))
+            first += 3 ** (net.order - level)
+    return rows
+
+
+class TestSubtreeErrors:
+    """One order-j call counts the errors of every lower order, on its trials."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.2])
+    @pytest.mark.parametrize(
+        "leaves", [(0.3,), make_scenario("NNF", 0.4), make_scenario("NFF", 0.4)]
+    )
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_each_order_votes_its_leftmost_subtree(self, monkeypatch, order, leaves, q):
+        # three full blocks and a short one; each block's rows are drawn as
+        # run_trials draws them, and the leftmost order-k subtree's own rows
+        # are pushed through the scalar walk of an order-k network. NNF never
+        # errs under pass-through voters, so with it no order may count an
+        # error; NFF errs from order 1 on
+        net = build_network(order, leaves, voter_fault_rate=q)
+        block_size = 256
+        n = 3 * block_size + 5
+        runs = network._draw_runs(net)
+        expected = [0] * (order + 1)
+        for b in range(4):
+            m = min(block_size, n - b * block_size)
+            lanes = network._draw_block(runs, m, RandomSource(21), b,
+                                        network._block_buffers(runs, m))
+            hit = unpacked(lanes, m)
+            for k in range(order + 1):
+                sub = build_network(k, tile_scenario(net.leaves, order)[:3 ** k], q)
+                rows = hit[subtree_rows(net, k)]
+                expected[k] += sum(simulate_bit(sub, 0, rows[:, i])[0] for i in range(m))
+        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        monkeypatch.setattr(network, "_processors", lambda: 2)
+        for workers in (1, 2):
+            estimate, _ = run_trials(net, n, RandomSource(21), workers=workers,
+                                     block_size=block_size)
+            assert estimate.subtree_errors == tuple(expected)
+            assert estimate.errors == expected[order]
+            assert [estimate.subtree(k) for k in range(order + 1)] == [
+                EmpiricalEstimate(trials=n, errors=errors) for errors in expected
+            ]
+
+
 class TestWorkspace:
     """A thread keeps its block buffers from one call to the next."""
 
     def test_a_sweep_allocates_block_buffers_once(self, monkeypatch, empty_workspace):
-        # 21 points at orders 0-2 are 63 units, each taking block buffers;
-        # every unit's block fits the first buffers the calling thread takes.
+        # 21 points at orders 0-2 are 21 order-2 units, each taking block
+        # buffers; every unit's block fits the first buffers the calling
+        # thread takes.
         # The sampler's numpy calls allocate too; only the network's count
         caller = threading.get_ident()
         empty = np.empty
@@ -599,7 +657,8 @@ class TestThreadGate:
         monkeypatch.setattr(network, "_draw_block", lambda *args: None)
         monkeypatch.setattr(
             network, "_simulate_block",
-            lambda net, lanes, drawn: (0, np.zeros(net.voter_count, dtype=np.int64)),
+            lambda net, lanes, drawn: (np.zeros(net.order + 1, dtype=np.int64),
+                                       np.zeros(net.voter_count, dtype=np.int64)),
         )
         started = []
         start = threading.Thread.start

@@ -264,6 +264,14 @@ class TestVoter:
             for t, (case, lane) in enumerate(zip(cases, got)):
                 assert lane == voter(*case), (w, t)
 
+    def test_no_fault_operand_votes_like_a_clear_fault_bit(self):
+        # a voter that cannot fail skips the fault step
+        for a, b, c, f in VOTER_CASES:
+            assert voter(a, b, c) == gate_voter(a, b, c, 0), (a, b, c)
+        words = np.random.default_rng(19).integers(0, 2**64, size=(3, 64), dtype=np.uint64)
+        for got, want in zip(voter(*words), voter(*words, np.zeros(64, dtype=np.uint64))):
+            np.testing.assert_array_equal(got, want)
+
     def test_inverting_the_inputs_inverts_the_output_and_keeps_the_alarm(self):
         # so the block kernel may vote on error bits instead of data bits
         for a, b, c, f in VOTER_CASES:
