@@ -49,14 +49,14 @@ after run, piece by piece, in two stages per piece: a sparse Poisson
 residual on bool cells, packed, then bit-sliced words at the rate rounded
 down to a multiple of 1/32 ORed in. The sum is exact (see
 ``bernoulli_lanes``). A network with no fault bits draws nothing and
-derives no stream. Each thread of a ``run_trials`` call draws every block
-it claims into its workspace, one pair of flat buffers: packed rows and
-``SCRATCH_CELLS`` bool cells. A block is a C-contiguous view of the front
+derives no stream. Each process of a ``run_trials`` call draws every
+block it runs into its workspace, one pair of flat buffers: packed rows
+and ``SCRATCH_CELLS`` bool cells. A block is a C-contiguous view of the front
 of the rows, so the sampler always fills the buffer itself. A thread keeps
 its workspace from one call to the next, so a sweep's units reuse pages
-already touched rather than faulting in fresh ones, and the workspace is
-released when its thread ends: the calling thread keeps it, and a helper
-thread, which ends with its call, for that call only.
+already touched rather than faulting in fresh ones. A forked worker draws
+into its copy-on-write copy of the caller's workspace, or a new one if the
+caller has none yet, and the copy goes when the worker exits with its call.
 
 Work sizing: a block's width is ``block_trials(net)``, about
 ``BLOCK_BYTES`` of packed rows, so every block of every network costs
@@ -66,9 +66,16 @@ rows plus ``SCRATCH_CELLS`` cells for every network of up to 65,536 block
 rows (order 10 without voter faults, order 9 with); above that it grows to
 the largest 64-trial block the thread has drawn, at most
 ``MAX_BLOCK_BYTES``. A network whose 64-trial block would need more than
-``MAX_BLOCK_BYTES`` is refused before anything is drawn. A call starts
-helper threads only for at least ``BITS_PER_THREAD`` fault bits (trials
-times rows) a thread.
+``MAX_BLOCK_BYTES`` is refused before anything is drawn. A call forks
+workers only for at least ``BITS_PER_WORKER`` fault bits (trials times
+rows) a process.
+
+Fan-out: a large call's blocks run on the caller and forked worker
+processes, each pinned to its own processor (see ``fanout``), not on
+threads: the sampler holds the GIL, and on a 2-vCPU VM the kernel kept an
+unpinned second thread or process on the caller's vCPU. Every process runs
+fixed blocks and returns integer sums, so the results never depend on how
+many processes there are.
 
 Lane layout: each row is padded to whole words, and the sampler clears
 the padding lanes of every row, so they never err or alarm. Every level
@@ -101,7 +108,7 @@ __all__ = [
 ]
 
 # Bytes of packed rows a block aims at. Blocks are the unit of parallelism:
-# threads claim them by index and each draws from its own derived stream, so
+# each process runs fixed blocks by index, each from its own derived stream, so
 # results never depend on the worker count -- only on (stream key, network,
 # trial count). Wide enough that per-block costs (a derived stream, a
 # sampler call per run) are small beside the draws, narrow enough that a
@@ -112,10 +119,11 @@ BLOCK_BYTES = 1 << 19
 # with voter faults (172 MB) is the highest order that fits.
 MAX_BLOCK_BYTES = 1 << 28
 
-# Fault bits (trials times block rows) a call must draw for each thread it
-# runs on; below that a helper thread's start and its contention for the
-# interpreter cost more than it saves.
-BITS_PER_THREAD = 1 << 26
+# Fault bits (trials times block rows) a call must draw for each process it
+# runs on; below that a worker's fork, pipe and reaping cost more than it
+# saves (a fork for every unit of the 21-point protocol cost about 5 ms a
+# call).
+BITS_PER_WORKER = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -299,6 +307,19 @@ def _processors() -> int:
     return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether a call may fork workers: POSIX with CPU affinity, and one Python thread.
+
+    A fork copies only the forking thread, so a lock another thread holds
+    stays locked in the worker; beside a live thread the caller runs alone.
+    """
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_setaffinity")
+        and threading.active_count() == 1
+    )
+
+
 def _draw_runs(net: HtmrNetwork) -> list[tuple[int, int, float]]:
     """Runs of consecutive equal-rate fault bits, in draw order.
 
@@ -426,21 +447,23 @@ def run_trials(
     one 64-trial block (see ``block_trials``) is refused before anything is
     drawn.
 
-    The calling thread and up to ``workers - 1`` helper threads claim
-    blocks by index. There are never more threads in all than there are
-    blocks, processors this process may use, or multiples of
-    ``BITS_PER_THREAD`` in the call's fault bits (``n`` times the block
-    rows), so a small call runs on the caller alone. Each thread keeps
-    integer running sums of its blocks' errors and alarm counts, which are
-    exact in any order, and the call adds them up at the end, so memory
-    does not grow with ``n``. If a block raises, the threads stop
-    claiming, every helper is joined and the call raises that error.
+    The call runs on P processes: the caller and P - 1 forked workers, each
+    pinned to its own processor (see ``fanout.fan_out``), and process k runs
+    blocks k, k + P, k + 2P, ... P is ``workers`` capped at the blocks, at
+    the processors this process may use and at the multiples of
+    ``BITS_PER_WORKER`` in the call's fault bits (``n`` times the block
+    rows), so a small call runs on the caller alone. The caller also runs
+    alone where it cannot fork safely: without ``os.fork`` and
+    ``os.sched_setaffinity``, or beside another live Python thread. Each
+    process keeps integer running sums of its blocks' errors and alarm
+    counts, which are exact in any order, and the call adds them up at the
+    end, so memory does not grow with ``n``. If a block raises, the call
+    raises its error once no worker is left.
 
-    Every thread draws into its workspace (see ``_block_buffers``): the
-    calling thread keeps its own for later calls, and a helper's is
-    released when the helper ends with this call. A workspace's stale bits
-    never reach a result, because every block's rows are drawn in full
-    before they are voted.
+    Every process draws into its workspace (see ``_block_buffers``): the
+    calling thread keeps its own for later calls, and a worker's copy goes
+    when the worker exits. A workspace's stale bits never reach a result,
+    because every block's rows are drawn in full before they are voted.
     """
     n = check_integer("trial count", n)
     if not 1 <= n < 1 << 63:
@@ -456,43 +479,35 @@ def run_trials(
     runs = _draw_runs(net)
     drawn = np.array(tile_scenario(net.leaves, net.order)) > 0.0
     blocks = (n - 1) // block_size + 1
-    claims = itertools.count()
-    failures = []
-    sums = []
+    levels = net.order + 1
 
-    def work():
-        # claim blocks by index until none are left or any thread has failed;
-        # every block's bits are drawn into this thread's workspace
-        errors = np.zeros(net.order + 1, dtype=np.int64)
-        counts = np.zeros(net.voter_count, dtype=np.int64)
-        try:
-            buffers = _block_buffers(runs, min(block_size, n))
-            while not failures and (b := next(claims)) < blocks:
-                m = min(block_size, n - b * block_size)
-                block_errors, alarm_counts = _simulate_block(
-                    net, _draw_block(runs, m, rng, b, buffers), drawn
-                )
-                errors += block_errors
-                counts += alarm_counts
-        except BaseException as exc:
-            failures.append(exc)
-        sums.append((errors, counts))
+    def work(first, stride):
+        # the error and alarm sums of blocks first, first + stride, ...;
+        # every block's bits are drawn into this process's workspace
+        sums = np.zeros(levels + net.voter_count, dtype=np.int64)
+        errors, counts = sums[:levels], sums[levels:]
+        buffers = _block_buffers(runs, min(block_size, n))
+        for b in range(first, blocks, stride):
+            m = min(block_size, n - b * block_size)
+            block_errors, alarm_counts = _simulate_block(
+                net, _draw_block(runs, m, rng, b, buffers), drawn
+            )
+            errors += block_errors
+            counts += alarm_counts
+        return sums
 
-    paid = max(1, n * _block_rows(net) // BITS_PER_THREAD)
-    threads = min(workers, blocks, _processors(), paid)
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
+    paid = max(1, n * _block_rows(net) // BITS_PER_WORKER)
+    procs = min(workers, blocks, _processors(), paid)
+    if procs > 1 and _can_fork():
+        from .fanout import fan_out
 
-    subtree_errors = tuple(int(e) for e in sum(errors for errors, _ in sums))
-    alarm_counts = tuple(int(c) for c in sum(counts for _, counts in sums))
+        sums = fan_out(work, procs)
+    else:
+        sums = work(0, 1)
+
+    subtree_errors = tuple(sums[:levels].tolist())
     estimate = EmpiricalEstimate(
         trials=n, errors=subtree_errors[-1], subtree_errors=subtree_errors
     )
-    counter = FaultStatusCounter(alarm_counts=alarm_counts, trials=n)
+    counter = FaultStatusCounter(alarm_counts=tuple(sums[levels:].tolist()), trials=n)
     return estimate, counter

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import gc
+import os
 
 import pytest
 
@@ -23,6 +24,31 @@ def empty_workspace():
     clear()
     yield clear
     clear()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker process forked during the test, in order.
+
+    Wraps ``os.fork``; a forked worker's own copy of the list stays empty.
+    After the test, no worker may be left and the test process's CPU
+    affinity must be what it was before.
+    """
+    forked = []
+    fork = os.fork
+    affinity = os.sched_getaffinity(0)
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == affinity
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,7 @@ import argparse
 import decimal
 import gc
 import json
+import os
 import sys
 
 import numpy as np
@@ -125,23 +126,15 @@ class TestSimulate:
         assert out1 == out4
 
     def test_multi_block_voter_faults_are_byte_identical_at_any_worker_count(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, forks
     ):
         # order 3 with voter faults in three blocks of the network's width;
-        # with helpers for any work and three processors, every worker count
-        # really runs that many threads
+        # with workers for any work and three processors, every worker count
+        # really forks that many processes less the caller
         net = network.build_network(3, 0.1, voter_fault_rate=0.1)
         trials = 2 * network.block_trials(net) + 1000
-        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
         monkeypatch.setattr(network, "_processors", lambda: 3)
-        started = []
-        start = network.threading.Thread.start
-
-        def counted_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(network.threading.Thread, "start", counted_start)
         documents = []
         for workers in (1, 2, 3):
             code, out, _ = run_cli(
@@ -150,8 +143,30 @@ class TestSimulate:
             )
             assert code == 0
             documents.append(out)
-        assert len(started) == 0 + 1 + 2
+        assert len(forks) == 0 + 1 + 2
         assert documents[0] == documents[1] == documents[2]
+
+    def test_a_worker_out_of_memory_exits_2(self, capsys, monkeypatch, forks):
+        # a MemoryError raised in a forked worker reaches the caller as one
+        caller = os.getpid()
+        simulate_block = network._simulate_block
+
+        def failing_block(net, lanes, drawn):
+            if os.getpid() != caller:
+                raise MemoryError("one block of 64 trials needs 1 byte")
+            return simulate_block(net, lanes, drawn)
+
+        monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
+        monkeypatch.setattr(network, "_processors", lambda: 2)
+        monkeypatch.setattr(network, "_simulate_block", failing_block)
+        net = network.build_network(3, 0.1, voter_fault_rate=0.1)
+        code, out, err = run_cli(
+            capsys, "simulate", "--order", "3", "--pf", "0.1", "--pfmb", "pf",
+            "--trials", str(2 * network.block_trials(net)), "--workers", "2",
+        )
+        assert code == 2
+        assert "needs 1 byte" in err
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("orders,flags", [
         ("0,1,2", ()),

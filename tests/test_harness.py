@@ -167,12 +167,13 @@ class TestSweepMonteCarlo:
         cfg = SweepConfig(pf_min=0.1, pf_max=0.5, pf_steps=3, orders=(1, 2), trials=5_000, seed=5)
         assert sweep_monte_carlo(cfg) == sweep_monte_carlo(cfg)
 
-    def test_worker_count_is_invisible_in_results(self, monkeypatch):
+    def test_worker_count_is_invisible_in_results(self, monkeypatch, forks):
         # blocks of 8 KiB of rows make 140,000 trials three blocks or more
-        # per unit; with helpers for any work and three processors, every
-        # worker count really runs that many threads
+        # per unit; with workers for any work and three processors, every
+        # worker count really runs on that many processes, in each of the
+        # three units (one per grid point)
         monkeypatch.setattr(network, "BLOCK_BYTES", 1 << 13)
-        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
         monkeypatch.setattr(network, "_processors", lambda: 3)
         runs = [
             sweep_monte_carlo(SweepConfig(pf_min=0.1, pf_max=0.3, pf_steps=3, orders=(0, 1, 2),
@@ -180,6 +181,7 @@ class TestSweepMonteCarlo:
             for workers in (1, 2, 3)
         ]
         assert runs[0] == runs[1] == runs[2]
+        assert len(forks) == 3 * (0 + 1 + 2)
 
 
 def record_draws(monkeypatch):
@@ -257,9 +259,11 @@ class TestScenarioSuite:
         assert fff[2].pe == pytest.approx(pe_order(2, 0.2), abs=1e-15)
         assert all(r.pe == 0.0 for r in suite["NNF"])
 
-    def test_worker_count_is_invisible_in_results(self, monkeypatch):
+    def test_worker_count_is_invisible_in_results(self, monkeypatch, forks):
+        # nine units (three scenarios at three points), each forking one
+        # worker fewer than the worker count
         monkeypatch.setattr(network, "BLOCK_BYTES", 1 << 13)
-        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
         monkeypatch.setattr(network, "_processors", lambda: 3)
         runs = [
             scenario_suite(SweepConfig(pf_min=0.1, pf_max=0.3, pf_steps=3, orders=(1, 2),
@@ -267,6 +271,7 @@ class TestScenarioSuite:
             for workers in (1, 2, 3)
         ]
         assert runs[0] == runs[1] == runs[2]
+        assert len(forks) == 9 * (0 + 1 + 2)
 
     def test_single_fault_scenario_never_errs(self):
         suite = scenario_suite(SweepConfig.single(0.5, orders=(1, 2), trials=50_000))

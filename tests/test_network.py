@@ -9,6 +9,7 @@ forms (``tests/test_reliability.py::TestVoter``).
 """
 
 import math
+import os
 import sys
 import threading
 import time
@@ -304,7 +305,7 @@ class TestRunTrialsDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reused_block_buffers_match_fresh_blocks(self, workers):
-        # three full blocks and a short one, each thread drawing into its one
+        # three full blocks and a short one, each process drawing into its one
         # buffer: stale bits of an earlier block, or a sampler filling a copy
         # of the buffer, would change the counts against blocks drawn into
         # freshly allocated buffers
@@ -337,14 +338,17 @@ class TestRunTrialsDeterminism:
         second = run_trials(net, 10_000, RandomSource(7))
         assert first == second
 
-    def test_worker_count_never_changes_results(self, monkeypatch):
+    def test_worker_count_never_changes_results(self, monkeypatch, forks):
         net = build_network(2, 0.1, voter_fault_rate=0.05)
         n = 2 * block_trials(net) + 5  # spans multiple blocks
-        # a helper thread for any work, so every worker count runs its threads
-        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        # a worker for any work and four processors, so every worker count
+        # forks its workers
+        monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
+        monkeypatch.setattr(network, "_processors", lambda: 4)
         baseline = run_trials(net, n, RandomSource(7), workers=1)
-        for workers in (2, 4):
+        for workers in (2, 3):
             assert run_trials(net, n, RandomSource(7), workers=workers) == baseline
+        assert len(forks) == 1 + 2
 
     def test_block_size_partitions_reproducibly(self):
         # explicit small blocks exercise the multi-block path cheaply
@@ -493,7 +497,7 @@ class TestSubtreeErrors:
                 sub = build_network(k, tile_scenario(net.leaves, order)[:3 ** k], q)
                 rows = hit[subtree_rows(net, k)]
                 expected[k] += sum(simulate_bit(sub, 0, rows[:, i])[0] for i in range(m))
-        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
         monkeypatch.setattr(network, "_processors", lambda: 2)
         for workers in (1, 2):
             estimate, _ = run_trials(net, n, RandomSource(21), workers=workers,
@@ -560,59 +564,64 @@ class TestWorkspace:
 
 
 class TestFanOut:
-    """The calling thread and its helpers claim blocks; processors cap them."""
+    """The caller and its forked workers run the blocks; processors cap them."""
 
     @pytest.fixture(autouse=True)
-    def helpers_for_any_work(self, monkeypatch):
+    def workers_for_any_work(self, monkeypatch):
         # these small calls would run on the caller alone (see TestThreadGate)
-        monkeypatch.setattr(network, "BITS_PER_THREAD", 1)
+        monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
 
-    def record_threads(self, monkeypatch, processors):
-        """Pretend to have ``processors``; log each block's thread and each start."""
+    def record_processes(self, monkeypatch, tmp_path, processors):
+        """Pretend to have ``processors``; return a reader of each block's process id.
+
+        Every block appends its pid to a file, one short ``O_APPEND`` write,
+        so the caller sees the blocks its workers ran.
+        """
         monkeypatch.setattr(network, "_processors", lambda: processors)
         simulate_block = network._simulate_block
-        block_threads = []
+        log = tmp_path / "block-pids"
+        log.touch()
 
-        def slow_block(net, lanes, drawn):
-            block_threads.append(threading.get_ident())
-            time.sleep(0.02)  # long enough for every started thread to claim a block
+        def logged_block(net, lanes, drawn):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
             return simulate_block(net, lanes, drawn)
 
-        monkeypatch.setattr(network, "_simulate_block", slow_block)
-        started = []
-        start = threading.Thread.start
+        monkeypatch.setattr(network, "_simulate_block", logged_block)
+        return lambda: [int(pid) for pid in log.read_text().split()]
 
-        def counted_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted_start)
-        return block_threads, started
-
-    def test_threads_are_capped_at_the_processor_count(self, monkeypatch):
+    def test_threads_are_capped_at_the_processor_count(self, monkeypatch, tmp_path, forks):
         net = build_network(1, 0.3)
         baseline = run_trials(net, 8 * 256, RandomSource(3), block_size=256)
-        block_threads, started = self.record_threads(monkeypatch, processors=2)
+        block_pids = self.record_processes(monkeypatch, tmp_path, processors=2)
         result = run_trials(net, 8 * 256, RandomSource(3), workers=8, block_size=256)
         assert result == baseline
-        assert len(started) == 1
-        assert len(block_threads) == 8
-        assert set(block_threads) == {threading.get_ident(), started[0].ident}
+        assert len(forks) == 1
+        assert len(block_pids()) == 8
+        assert set(block_pids()) == {os.getpid(), forks[0]}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-    def test_one_processor_runs_every_block_on_the_caller(self, monkeypatch):
-        block_threads, started = self.record_threads(monkeypatch, processors=1)
+    def test_one_processor_runs_every_block_on_the_caller(self, monkeypatch, tmp_path, forks):
+        block_pids = self.record_processes(monkeypatch, tmp_path, processors=1)
         run_trials(build_network(1, 0.3), 4 * 256, RandomSource(3), workers=4, block_size=256)
-        assert started == []
-        assert block_threads == [threading.get_ident()] * 4
+        assert forks == []
+        assert block_pids() == [os.getpid()] * 4
 
-    def test_threads_are_capped_at_the_block_count(self, monkeypatch):
-        block_threads, started = self.record_threads(monkeypatch, processors=8)
+    def test_threads_are_capped_at_the_block_count(self, monkeypatch, tmp_path, forks):
+        block_pids = self.record_processes(monkeypatch, tmp_path, processors=8)
         run_trials(build_network(1, 0.3), 2 * 256, RandomSource(3), workers=6, block_size=256)
-        assert len(started) == 1
-        assert len(block_threads) == 2
+        assert len(forks) == 1
+        assert len(block_pids()) == 2
 
-    def test_every_block_is_claimed_once_under_frequent_switches(self, monkeypatch):
-        # more threads than this box may have processors, switching as often
+    def test_no_more_processes_than_the_affinity_set_holds(self, forks):
+        # a huge worker count on as many blocks: the real processor cap holds
+        processors = len(os.sched_getaffinity(0))
+        run_trials(build_network(1, 0.3), 8 * 64, RandomSource(3), workers=10**8, block_size=64)
+        assert len(forks) <= processors - 1
+
+    def test_every_block_is_claimed_once_under_frequent_switches(self, monkeypatch, forks):
+        # more workers than this box may have processors, switching as often
         # as the interpreter allows: a block lost or run twice changes counts
         net = build_network(2, 0.2, voter_fault_rate=0.1)
         baseline = run_trials(net, 300 * 64, RandomSource(5), block_size=64)
@@ -624,35 +633,129 @@ class TestFanOut:
         finally:
             sys.setswitchinterval(interval)
         assert result == baseline
+        assert len(forks) == 3
+
+    def test_sums_larger_than_a_pipe_buffer_arrive_whole(self, monkeypatch, forks):
+        # order 10 with voter faults sends 29,534 int64 sums, 236 KB, through
+        # each pipe: more than the pipe holds before its reader drains it
+        monkeypatch.setattr(network, "_processors", lambda: 3)
+        net = build_network(10, 0.2, voter_fault_rate=0.1)
+        baseline = run_trials(net, 3 * 64, RandomSource(8), block_size=64)
+        assert run_trials(net, 3 * 64, RandomSource(8), workers=3, block_size=64) == baseline
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("raiser", ["caller", "helper"])
-    def test_a_failing_block_fails_the_call_cleanly(self, monkeypatch, raiser):
+    def test_a_failing_block_fails_the_call_cleanly(self, monkeypatch, raiser, forks):
         monkeypatch.setattr(network, "_processors", lambda: 2)
         simulate_block = network._simulate_block
-        caller = threading.current_thread()
-        raised = threading.Event()
+        caller = os.getpid()
 
         def failing_block(net, lanes, drawn):
-            if (threading.current_thread() is caller) == (raiser == "caller"):
-                raised.set()
+            if (os.getpid() == caller) == (raiser == "caller"):
                 raise RuntimeError("block failed")
-            raised.wait(10)  # make sure the raising thread claims a block too
             return simulate_block(net, lanes, drawn)
 
         monkeypatch.setattr(network, "_simulate_block", failing_block)
-        before = threading.active_count()
+        affinity = os.sched_getaffinity(0)
         with pytest.raises(RuntimeError, match="block failed"):
             run_trials(build_network(1, 0.3), 8 * 256, RandomSource(3), workers=2, block_size=256)
-        assert threading.active_count() == before
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == affinity
+
+    def test_a_worker_error_keeps_its_type_and_message(self, monkeypatch, forks):
+        # a MemoryError stays one, so the CLI still exits 2; a type that is
+        # not built in, or that takes more than a message, arrives as a
+        # RuntimeError naming it
+        monkeypatch.setattr(network, "_processors", lambda: 2)
+        caller = os.getpid()
+
+        class BlockError(Exception):
+            pass
+
+        for error, expected, message in [
+            (MemoryError("one block needs 1 byte"), MemoryError, "^one block needs 1 byte$"),
+            (BlockError("odd block"), RuntimeError, "^BlockError: odd block$"),
+            (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), RuntimeError,
+             "^UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+        ]:
+            def failing_block(net, lanes, drawn, error=error):
+                if os.getpid() != caller:
+                    raise error
+                return np.zeros(net.order + 1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+            monkeypatch.setattr(network, "_simulate_block", failing_block)
+            with pytest.raises(expected, match=message):
+                run_trials(build_network(1, 0.3), 2 * 64, RandomSource(3), workers=2,
+                           block_size=64)
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_that_ends_without_its_sums_fails_the_call(self, monkeypatch, forks):
+        monkeypatch.setattr(network, "_processors", lambda: 2)
+        simulate_block = network._simulate_block
+        caller = os.getpid()
+
+        def dying_block(net, lanes, drawn):
+            if os.getpid() != caller:
+                os._exit(3)
+            return simulate_block(net, lanes, drawn)
+
+        monkeypatch.setattr(network, "_simulate_block", dying_block)
+        with pytest.raises(RuntimeError, match="ended without sending its sums"):
+            run_trials(build_network(1, 0.3), 2 * 64, RandomSource(3), workers=2, block_size=64)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupted_caller_kills_its_workers(self, monkeypatch, forks):
+        # the worker would sleep far longer than the call takes: it is
+        # killed, not waited for
+        monkeypatch.setattr(network, "_processors", lambda: 2)
+        caller = os.getpid()
+
+        def interrupted_block(net, lanes, drawn):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(network, "_simulate_block", interrupted_block)
+        affinity = os.sched_getaffinity(0)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(build_network(1, 0.3), 2 * 64, RandomSource(3), workers=2, block_size=64)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == affinity
+
+    def test_a_call_from_a_second_thread_forks_nothing(self, forks):
+        # a fork copies only the forking thread, so beside another live
+        # thread the caller runs every block itself
+        net = build_network(2, 0.2, voter_fault_rate=0.1)
+        baseline = run_trials(net, 8 * 64, RandomSource(4), block_size=64)
+        results = []
+        thread = threading.Thread(target=lambda: results.append(
+            run_trials(net, 8 * 64, RandomSource(4), workers=2, block_size=64)))
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert results == [baseline]
+        assert forks == []
 
 
 class TestThreadGate:
-    """Helper threads start only for calls with enough fault bits to pay."""
+    """Worker processes are forked only for calls with enough fault bits to pay."""
 
-    def test_the_gate_runs_small_units_on_the_caller_alone(self, monkeypatch):
-        # a protocol21 unit (order 2 at 10**6 trials, 9 rows) starts no helper
+    def test_the_gate_runs_small_units_on_the_caller_alone(self, monkeypatch, forks):
+        # a protocol21 unit (order 2 at 10**6 trials, 9 rows) forks no worker
         # and the deep_voterfault unit (order 4 with voter faults at 2 * 10**6
-        # trials, 121 rows) starts one; the blocks themselves are stubbed out
+        # trials, 121 rows) forks one; the blocks themselves are stubbed out
         monkeypatch.setattr(network, "_processors", lambda: 2)
         monkeypatch.setattr(network, "_draw_block", lambda *args: None)
         monkeypatch.setattr(
@@ -660,19 +763,13 @@ class TestThreadGate:
             lambda net, lanes, drawn: (np.zeros(net.order + 1, dtype=np.int64),
                                        np.zeros(net.voter_count, dtype=np.int64)),
         )
-        started = []
-        start = threading.Thread.start
-
-        def counted_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted_start)
         run_trials(build_network(2, 0.5), 10**6, RandomSource(0), workers=2)
-        assert started == []
+        assert forks == []
         run_trials(build_network(4, 0.1, voter_fault_rate=0.1), 2 * 10**6, RandomSource(0),
                    workers=2)
-        assert len(started) == 1
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestMasking:

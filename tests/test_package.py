@@ -43,7 +43,7 @@ PUBLIC = {
 }
 
 # modules that some command needs and a CSV simulate does not
-WATCHED = ("htmr_lab.reports", "htmr_lab.voting", "json", "decimal")
+WATCHED = ("htmr_lab.reports", "htmr_lab.voting", "htmr_lab.fanout", "json", "decimal")
 
 PROBE = f"""
 import sys
