@@ -15,15 +15,18 @@ imported when a worker forks, where a spawned worker would import it
 again (about 0.17 s).
 
 Each process returns exact integer sums of fixed blocks, so a result does
-not depend on how many processes ran it. A fork copies only the forking
-thread, so ``network`` forks only where no other Python thread is alive.
-On Python 3.12 and later, ``os.fork`` warns in a process that runs native
-threads, such as an OpenBLAS pool, unless ``OPENBLAS_NUM_THREADS=1``.
+not depend on which process ran a share. A worker sends its share's sums
+and exits 0, or exits 1 and sends nothing; the caller runs any share it
+did not get itself, so an error a share's blocks raise reaches the caller
+with its own type and traceback, and a worker that dies, or is interrupted
+on its own, costs one re-run. A fork copies only the forking thread, so
+``network`` forks only where no other Python thread is alive. On Python
+3.12 and later, ``os.fork`` warns in a process that runs native threads,
+such as an OpenBLAS pool, unless ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
 
-import builtins
 import os
 import signal
 from typing import NoReturn
@@ -36,44 +39,19 @@ __all__ = ["fan_out"]
 def _send_sums(work, k: int, procs: int, cpu: int, w: int) -> NoReturn:
     """Worker ``k``'s life after the fork: pinned to ``cpu``, run share ``k``, send, exit.
 
-    The pipe's write end ``w`` gets ``b"S"`` and the share's int64 sums,
-    or ``b"E"``, the error's type name, a NUL and its message; a type that
-    is not built in travels as a ``RuntimeError`` that names it. The
-    worker leaves by ``os._exit``, so no exit handler or buffer of the
-    caller's runs twice.
+    The worker writes the share's int64 sums to the pipe's write end ``w``
+    and exits 0, or, if anything raises, exits 1. It leaves by
+    ``os._exit``, so no exit handler or buffer of the caller's runs twice.
     """
     code = 1
     try:
+        os.sched_setaffinity(0, {cpu})
+        sums = work(k, procs)
         with open(w, "wb") as pipe:
-            try:
-                os.sched_setaffinity(0, {cpu})
-                sums = work(k, procs)
-            except BaseException as exc:
-                kind, message = type(exc).__name__, str(exc)
-                if getattr(builtins, kind, None) is not type(exc):
-                    kind, message = "RuntimeError", f"{kind}: {message}"
-                pipe.write(b"E" + f"{kind}\0{message}".encode("utf-8", "backslashreplace"))
-            else:
-                pipe.write(b"S")
-                pipe.write(sums)
+            pipe.write(sums)
         code = 0
     finally:
         os._exit(code)
-
-
-def _worker_error(status: bytes, body: bytes) -> BaseException:
-    """The error a worker sent (see ``_send_sums``), or one saying it sent no sums.
-
-    A built-in type that takes more than a message, such as
-    ``UnicodeDecodeError``, becomes a ``RuntimeError`` that names it.
-    """
-    if status != b"E":
-        return RuntimeError("a run_trials worker process ended without sending its sums")
-    kind, _, message = body.decode("utf-8").partition("\0")
-    try:
-        return getattr(builtins, kind)(message)
-    except TypeError:
-        return RuntimeError(f"{kind}: {message}")
 
 
 def fan_out(work, procs: int) -> np.ndarray:
@@ -84,13 +62,15 @@ def fan_out(work, procs: int) -> np.ndarray:
     processors of the caller's affinity set, and the caller runs share 0
     pinned to the first of them; its own affinity is restored when the
     call ends. Every worker's pipe is drained before the worker is reaped.
-    If a worker raised, the call raises that error's type and message once
-    every worker is reaped; if the caller's own share raises, or the call
-    is interrupted, every worker left is killed and reaped first.
+    A worker that exits other than 0, or without sending all its sums (it
+    raised, died, or was interrupted on its own), has its share run again
+    by the caller, so an error that share raises is raised by the caller.
+    If the caller's own share raises, or the call is interrupted, every
+    worker left is killed and reaped first.
     """
     affinity = os.sched_getaffinity(0)
     cpus = sorted(affinity)
-    live = []  # (pid, read end of its pipe) of every worker not yet reaped
+    live = []  # (share, pid, read end of its pipe) of every worker not yet reaped
     try:
         os.sched_setaffinity(0, cpus[:1])
         for k in range(1, procs):
@@ -105,24 +85,21 @@ def fan_out(work, procs: int) -> np.ndarray:
                 os.close(r)
                 _send_sums(work, k, procs, cpus[k % len(cpus)], w)
             os.close(w)
-            live.append((pid, open(r, "rb")))
+            live.append((k, pid, open(r, "rb")))
         total = work(0, procs)
-        failure = None
         while live:
-            pid, pipe = live[0]
+            k, pid, pipe = live[0]
             with pipe:
-                status, body = pipe.read(1), pipe.read()
-            os.waitpid(pid, 0)
+                body = pipe.read()
+            _, status = os.waitpid(pid, 0)
             live.pop(0)
-            if status == b"S" and len(body) == total.nbytes:
+            if status == 0 and len(body) == total.nbytes:
                 total += np.frombuffer(body, dtype=np.int64)
-            elif failure is None:
-                failure = _worker_error(status, body)
-        if failure is not None:
-            raise failure
+            else:
+                total += work(k, procs)
         return total
     finally:
-        for pid, pipe in live:
+        for _, pid, pipe in live:
             os.kill(pid, signal.SIGKILL)
             pipe.close()
             os.waitpid(pid, 0)

@@ -109,10 +109,6 @@ class RandomSource:
         """Independent stream keyed by this stream's path plus ``indices``."""
         return RandomSource(self._seed, self._path + tuple(indices))
 
-    def uniform(self) -> float:
-        """Next uniform draw in [0, 1); advances the stream by one."""
-        return float(self._gen.random())
-
     def uniforms(self, shape) -> np.ndarray:
         """Array of uniform draws, consumed from the stream in C order."""
         return self._gen.random(shape)

@@ -75,7 +75,9 @@ processes, each pinned to its own processor (see ``fanout``), not on
 threads: the sampler holds the GIL, and on a 2-vCPU VM the kernel kept an
 unpinned second thread or process on the caller's vCPU. Every process runs
 fixed blocks and returns integer sums, so the results never depend on how
-many processes there are.
+many processes there are. A worker that sends no sums, because a block
+raised or it died or was interrupted on its own, has its share run again
+by the caller.
 
 Lane layout: each row is padded to whole words, and the sampler clears
 the padding lanes of every row, so they never err or alarm. Every level
@@ -301,23 +303,17 @@ def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
 
 
 def _processors() -> int:
-    """Processors this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """Processes a call may run on: the processors of this process's affinity set.
 
-
-def _can_fork() -> bool:
-    """Whether a call may fork workers: POSIX with CPU affinity, and one Python thread.
-
-    A fork copies only the forking thread, so a lock another thread holds
-    stays locked in the worker; beside a live thread the caller runs alone.
+    It is 1 without ``os.fork`` and ``os.sched_setaffinity``, or beside
+    another live Python thread: a fork copies only the forking thread, so a
+    lock another thread holds would stay locked in the worker.
     """
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_setaffinity")
-        and threading.active_count() == 1
-    )
+    if not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _draw_runs(net: HtmrNetwork) -> list[tuple[int, int, float]]:
@@ -453,12 +449,13 @@ def run_trials(
     the processors this process may use and at the multiples of
     ``BITS_PER_WORKER`` in the call's fault bits (``n`` times the block
     rows), so a small call runs on the caller alone. The caller also runs
-    alone where it cannot fork safely: without ``os.fork`` and
-    ``os.sched_setaffinity``, or beside another live Python thread. Each
-    process keeps integer running sums of its blocks' errors and alarm
-    counts, which are exact in any order, and the call adds them up at the
-    end, so memory does not grow with ``n``. If a block raises, the call
-    raises its error once no worker is left.
+    alone where it cannot fork safely (see ``_processors``). Each process
+    keeps integer running sums of its blocks' errors and alarm counts,
+    which are exact in any order, and the call adds them up at the end, so
+    memory does not grow with ``n``. A worker that sends no sums, because a
+    block raised or it died or was interrupted on its own, has its share
+    run again by the caller; so if a block raises, the caller raises the
+    error itself, with its own type, once no worker is left.
 
     Every process draws into its workspace (see ``_block_buffers``): the
     calling thread keeps its own for later calls, and a worker's copy goes
@@ -498,7 +495,7 @@ def run_trials(
 
     paid = max(1, n * _block_rows(net) // BITS_PER_WORKER)
     procs = min(workers, blocks, _processors(), paid)
-    if procs > 1 and _can_fork():
+    if procs > 1:
         from .fanout import fan_out
 
         sums = fan_out(work, procs)

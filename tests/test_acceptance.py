@@ -180,7 +180,7 @@ def test_c09_proposition_audit():
 def test_c10_expansion_coefficients_audit():
     with criterion("C10 degree-9 expansion audit"):
         rng = RandomSource(101)
-        points = [rng.uniform() for _ in range(10)]
+        points = rng.uniforms(10).tolist()
         assert all(0.0 < p < 1.0 for p in points)
         for p in points:
             composed = pe_first(pe_first(p))

@@ -4,7 +4,6 @@ import argparse
 import decimal
 import gc
 import json
-import os
 import sys
 
 import numpy as np
@@ -146,26 +145,48 @@ class TestSimulate:
         assert len(forks) == 0 + 1 + 2
         assert documents[0] == documents[1] == documents[2]
 
-    def test_a_worker_out_of_memory_exits_2(self, capsys, monkeypatch, forks):
-        # a MemoryError raised in a forked worker reaches the caller as one
-        caller = os.getpid()
-        simulate_block = network._simulate_block
+    def run_failing_worker_share(self, capsys, monkeypatch, fail):
+        """Simulate order 3 with voter faults on two processes, block 1 calling ``fail()``.
 
-        def failing_block(net, lanes, drawn):
-            if os.getpid() != caller:
-                raise MemoryError("one block of 64 trials needs 1 byte")
-            return simulate_block(net, lanes, drawn)
+        Block 1 is the worker's share, so it fails in the worker and again
+        when the caller runs that share itself. Returns the exit code and
+        stderr.
+        """
+        draw_block = network._draw_block
+
+        def failing_draw(runs, m, rng, b, buffers):
+            if b == 1:
+                fail()
+            return draw_block(runs, m, rng, b, buffers)
 
         monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
         monkeypatch.setattr(network, "_processors", lambda: 2)
-        monkeypatch.setattr(network, "_simulate_block", failing_block)
+        monkeypatch.setattr(network, "_draw_block", failing_draw)
         net = network.build_network(3, 0.1, voter_fault_rate=0.1)
-        code, out, err = run_cli(
+        code, _, err = run_cli(
             capsys, "simulate", "--order", "3", "--pf", "0.1", "--pfmb", "pf",
             "--trials", str(2 * network.block_trials(net)), "--workers", "2",
         )
+        return code, err
+
+    def test_a_worker_out_of_memory_exits_2(self, capsys, monkeypatch, forks):
+        # the caller raises the worker share's MemoryError itself
+        def fail():
+            raise MemoryError("one block of 64 trials needs 1 byte")
+
+        code, err = self.run_failing_worker_share(capsys, monkeypatch, fail)
         assert code == 2
         assert "needs 1 byte" in err
+        assert len(forks) == 1
+
+    def test_a_worker_numpy_allocation_failure_exits_2(self, capsys, monkeypatch, forks):
+        # numpy's MemoryError subclass keeps its type: exit 2, not an
+        # internal error
+        code, err = self.run_failing_worker_share(
+            capsys, monkeypatch, lambda: np.empty(1 << 62, dtype=np.uint8)
+        )
+        assert code == 2
+        assert err.startswith("htmr-lab: error: Unable to allocate 4.00 EiB")
         assert len(forks) == 1
 
     @pytest.mark.parametrize("orders,flags", [

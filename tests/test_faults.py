@@ -36,7 +36,7 @@ class TestRandomSource:
     def test_same_seed_same_stream(self):
         a = RandomSource(1234)
         b = RandomSource(1234)
-        assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
+        assert a.uniforms(20).tolist() == b.uniforms(20).tolist()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -54,32 +54,33 @@ class TestRandomSource:
             RandomSource(0).derive(3, 0.5)
 
     def test_integral_floats_are_keys(self):
-        assert RandomSource(2.0).uniform() == RandomSource(2).uniform()
+        assert RandomSource(2.0).uniforms(1)[0] == RandomSource(2).uniforms(1)[0]
         assert RandomSource(0, (3.0,)).path == (3,)
 
     def test_scalar_and_array_draws_share_one_stream(self):
         a = RandomSource(77)
         b = RandomSource(77)
-        scalars = np.array([a.uniform() for _ in range(16)])
-        assert np.array_equal(scalars, b.uniforms(16))
+        pieces = [a.uniforms(1), a.uniforms(()).reshape(1), a.uniforms((2, 3)).ravel(),
+                  a.uniforms(8)]
+        assert np.array_equal(np.concatenate(pieces), b.uniforms(16))
 
     def test_distinct_seeds_differ(self):
         a = RandomSource(1)
         b = RandomSource(2)
-        assert a.uniform() != b.uniform()
+        assert a.uniforms(1)[0] != b.uniforms(1)[0]
 
     def test_derived_streams_are_stable_and_distinct(self):
         master = RandomSource(42)
-        first = [master.derive(0).uniform(), master.derive(1).uniform()]
+        first = [master.derive(0).uniforms(1)[0], master.derive(1).uniforms(1)[0]]
         assert first[0] != first[1]
         # derivation ignores how much of the parent has been consumed
-        master.uniform()
-        assert master.derive(0).uniform() == first[0]
-        assert master.derive(1).uniform() == first[1]
+        master.uniforms(1)
+        assert master.derive(0).uniforms(1)[0] == first[0]
+        assert master.derive(1).uniforms(1)[0] == first[1]
 
     def test_nested_paths(self):
         master = RandomSource(42)
-        assert master.derive(3, 1).uniform() == master.derive(3).derive(1).uniform()
+        assert master.derive(3, 1).uniforms(1)[0] == master.derive(3).derive(1).uniforms(1)[0]
 
     def test_draws_lie_in_unit_interval(self):
         u = RandomSource(5).uniforms(10_000)
@@ -203,7 +204,7 @@ class TestBernoulliLanes:
         rng = RandomSource(6)
         cells = np.empty(SCRATCH_CELLS, dtype=bool)
         rng.bernoulli_lanes(np.empty((2, 2), dtype=np.uint64), 100, rate, cells)
-        assert rng.uniform() == RandomSource(6).uniform()
+        assert rng.uniforms(1)[0] == RandomSource(6).uniforms(1)[0]
 
 
 class TestCalibration:

@@ -10,6 +10,7 @@ forms (``tests/test_reliability.py::TestVoter``).
 
 import math
 import os
+import signal
 import sys
 import threading
 import time
@@ -646,71 +647,103 @@ class TestFanOut:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("raiser", ["caller", "helper"])
-    def test_a_failing_block_fails_the_call_cleanly(self, monkeypatch, raiser, forks):
+    def fail_blocks(self, monkeypatch, tmp_path, parity, fail):
+        """Make every block b with b % 2 == ``parity`` call ``fail()`` wherever it runs.
+
+        With two processors, those are the blocks of share ``parity``.
+        Returns a reader of the process id of every failing block, in order.
+        """
         monkeypatch.setattr(network, "_processors", lambda: 2)
-        simulate_block = network._simulate_block
-        caller = os.getpid()
+        draw_block = network._draw_block
+        log = tmp_path / "failed-pids"
+        log.touch()
 
-        def failing_block(net, lanes, drawn):
-            if (os.getpid() == caller) == (raiser == "caller"):
-                raise RuntimeError("block failed")
-            return simulate_block(net, lanes, drawn)
+        def failing_draw(runs, m, rng, b, buffers):
+            if b % 2 == parity:
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+                fail()
+            return draw_block(runs, m, rng, b, buffers)
 
-        monkeypatch.setattr(network, "_simulate_block", failing_block)
-        affinity = os.sched_getaffinity(0)
+        monkeypatch.setattr(network, "_draw_block", failing_draw)
+        return lambda: [int(pid) for pid in log.read_text().split()]
+
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_a_failing_block_fails_the_call_cleanly(self, monkeypatch, tmp_path, raiser, forks):
+        # the caller's share fails on the caller; the helper's fails in its
+        # worker and again when the caller runs that share itself
+        def fail():
+            raise RuntimeError("block failed")
+
+        failed = self.fail_blocks(monkeypatch, tmp_path, ["caller", "helper"].index(raiser), fail)
         with pytest.raises(RuntimeError, match="block failed"):
             run_trials(build_network(1, 0.3), 8 * 256, RandomSource(3), workers=2, block_size=256)
         assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert os.sched_getaffinity(0) == affinity
+        if raiser == "caller":
+            assert failed() == [os.getpid()]
+        else:
+            assert failed() == [forks[0], os.getpid()]
 
-    def test_a_worker_error_keeps_its_type_and_message(self, monkeypatch, forks):
-        # a MemoryError stays one, so the CLI still exits 2; a type that is
-        # not built in, or that takes more than a message, arrives as a
-        # RuntimeError naming it
-        monkeypatch.setattr(network, "_processors", lambda: 2)
-        caller = os.getpid()
-
+    def test_a_worker_error_keeps_its_type_and_message(self, monkeypatch, tmp_path, forks):
+        # the worker's share fails in the worker and again on the caller,
+        # which raises the error itself: a type that is not built in, one
+        # that takes more than a message and numpy's MemoryError subclass
+        # (so the CLI still exits 2) all arrive as they are
         class BlockError(Exception):
             pass
 
-        for error, expected, message in [
-            (MemoryError("one block needs 1 byte"), MemoryError, "^one block needs 1 byte$"),
-            (BlockError("odd block"), RuntimeError, "^BlockError: odd block$"),
-            (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), RuntimeError,
-             "^UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
-        ]:
-            def failing_block(net, lanes, drawn, error=error):
-                if os.getpid() != caller:
-                    raise error
-                return np.zeros(net.order + 1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        def block_error():
+            raise BlockError("odd block")
 
-            monkeypatch.setattr(network, "_simulate_block", failing_block)
+        def decode_error():
+            b"\xff".decode("utf-8")
+
+        def out_of_memory():
+            np.empty(1 << 62, dtype=np.uint8)
+
+        # the lambda calls the loop's current ``fail``
+        failed = self.fail_blocks(monkeypatch, tmp_path, 1, lambda: fail())
+        for fail, expected, message in [
+            (block_error, BlockError, "^odd block$"),
+            (decode_error, UnicodeDecodeError, "^'utf-8' codec can't decode byte 0xff"),
+            (out_of_memory, MemoryError, "^Unable to allocate 4.00 EiB"),
+        ]:
             with pytest.raises(expected, match=message):
                 run_trials(build_network(1, 0.3), 2 * 64, RandomSource(3), workers=2,
                            block_size=64)
         assert len(forks) == 3
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert failed() == [pid for worker in forks for pid in (worker, os.getpid())]
 
-    def test_a_worker_that_ends_without_its_sums_fails_the_call(self, monkeypatch, forks):
-        monkeypatch.setattr(network, "_processors", lambda: 2)
+    def test_a_worker_that_ends_without_its_sums_costs_one_rerun(
+        self, monkeypatch, tmp_path, forks
+    ):
+        # a worker whose block raises, or that exits early, is killed or is
+        # interrupted on its own, sends nothing, and the caller runs both
+        # blocks of each call itself
+        net = build_network(1, 0.3)
+        baseline = run_trials(net, 2 * 64, RandomSource(3), block_size=64)
+        block_pids = self.record_processes(monkeypatch, tmp_path, processors=2)
         simulate_block = network._simulate_block
         caller = os.getpid()
 
-        def dying_block(net, lanes, drawn):
-            if os.getpid() != caller:
-                os._exit(3)
-            return simulate_block(net, lanes, drawn)
+        def block_error():
+            raise RuntimeError("block failed")
 
-        monkeypatch.setattr(network, "_simulate_block", dying_block)
-        with pytest.raises(RuntimeError, match="ended without sending its sums"):
-            run_trials(build_network(1, 0.3), 2 * 64, RandomSource(3), workers=2, block_size=64)
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        for death in (
+            block_error,
+            lambda: os._exit(3),
+            lambda: os.kill(os.getpid(), signal.SIGKILL),
+            lambda: signal.raise_signal(signal.SIGINT),
+        ):
+            def dying_block(net, lanes, drawn, death=death):
+                if os.getpid() != caller:
+                    death()
+                return simulate_block(net, lanes, drawn)
+
+            monkeypatch.setattr(network, "_simulate_block", dying_block)
+            assert run_trials(net, 2 * 64, RandomSource(3), workers=2, block_size=64) == baseline
+        assert len(forks) == 4
+        assert block_pids() == [os.getpid()] * 8
 
     def test_an_interrupted_caller_kills_its_workers(self, monkeypatch, forks):
         # the worker would sleep far longer than the call takes: it is

@@ -84,7 +84,7 @@ INTEGER_ENTRIES = {
 
 
 def assert_untouched(rng):
-    assert rng.uniform() == RandomSource(0).uniform()
+    assert rng.uniforms(1)[0] == RandomSource(0).uniforms(1)[0]
 
 
 @pytest.mark.parametrize("entry", sorted(BIT_ENTRIES))
