@@ -11,7 +11,6 @@ from htmr_lab import (
     pe_first,
     pe_order,
     pem_first,
-    reduction_claims_check,
     sweep_analytic,
     table3_report,
 )
@@ -43,11 +42,13 @@ def main() -> None:
     for row in rows:
         print(f"{row.pf:>8.4g} {row.order:>5} {row.re:>10.4f} {row.re_per_module:>10.4f}")
 
-    claims = reduction_claims_check(0.1)
+    # 10**re is pf / pe, the reduction against the bare module
+    one, two = sweep_analytic(SweepConfig.single(0.1, orders=(1, 2)))
+    vs_bare, vs_one_level = 10.0 ** two.re, 10.0 ** (two.re - one.re)
     print(f"\nAt pf = 0.1 the two-level hierarchy beats the bare module by "
-          f"{claims.vs_bare:.1f}x")
-    print(f"and the one-level network by {claims.vs_one_level:.1f}x "
-          f"(claims hold: {claims.bare_claim_holds and claims.one_level_claim_holds})")
+          f"{vs_bare:.1f}x")
+    print(f"and the one-level network by {vs_one_level:.1f}x "
+          f"(claims hold: {vs_bare > 40.0 and vs_one_level > 10.0})")
 
     print("\nOperations between output errors")
     print("=" * 48)

@@ -33,10 +33,9 @@ _EXPORTS = {
         ),
         "reports": (
             "CLAIMED_ORDER2_EXPANSION", "EXACT_ORDER2_EXPANSION", "ExpansionAudit",
-            "ExpansionSample", "PropositionReport", "ReductionClaims", "TABLE3_RATES",
-            "Table3Row", "evaluate_power_series", "expansion_audit",
-            "floor_to_sig_figs", "present_operations", "proposition_check",
-            "reduction_claims_check", "table3_report",
+            "ExpansionSample", "PropositionReport", "TABLE3_RATES", "Table3Row",
+            "evaluate_power_series", "expansion_audit", "floor_to_sig_figs",
+            "present_operations", "proposition_check", "table3_report",
         ),
         "voting": (
             "TmrRegister", "TripleInput", "VoteOutcome", "alarm_signal",

@@ -144,9 +144,9 @@ class RandomSource:
 
         1. ``_bernoulli`` fills the piece's lanes below ``m`` as bool cells
            at s, in C order, which are packed into the lanes in little bit
-           order. ``cells`` is a flat bool scratch array of at least
-           ``SCRATCH_CELLS`` cells, or of ``out.shape[0] * m`` where that is
-           fewer. At s = 0 nothing is drawn and ``cells`` is not touched.
+           order. ``cells`` is a flat bool scratch array that holds the
+           largest piece's lanes below ``m``; ``SCRATCH_CELLS`` cells hold
+           any piece. At s = 0 nothing is drawn and ``cells`` is not touched.
         2. Bernoulli(r_K) words are ORed in. Each word comes from at most K
            raw PCG64 words w, drawn a piece at a time: starting at the
            lowest set bit of a with x = w, every higher bit of a takes

@@ -368,17 +368,16 @@ _workspace = threading.local()
 def _block_buffers(runs: list[tuple[int, int, float]], m: int):
     """The calling thread's buffers for blocks of up to ``m`` trials.
 
-    Returns views of the front of the thread's workspace: a flat ``uint64``
-    buffer for the packed rows and a flat bool buffer for the Poisson stage
-    of one sampler piece. A thread's first call reserves ``BLOCK_BYTES`` of
-    rows and ``SCRATCH_CELLS`` cells, enough for any default block of up
+    Returns a view of the front of the thread's flat ``uint64`` buffer for
+    the packed rows, and its whole flat bool scratch, from which the sampler
+    takes each piece's cells. A thread's first call reserves ``BLOCK_BYTES``
+    of rows and ``SCRATCH_CELLS`` cells, enough for any default block of up
     to 65,536 rows, and a block that needs more grows the buffer to its
     size; the workspace never shrinks, so every later call on the thread
     reuses the pages it has touched. Where a buffer cannot grow, the
     ``MemoryError`` names the bytes one block needs.
     """
     words = (runs[-1][1] if runs else 0) * -(-m // 64)
-    cells = min(max((hi - lo for lo, hi, _ in runs), default=0) * m, SCRATCH_CELLS)
     rows = getattr(_workspace, "rows", None)
     scratch = getattr(_workspace, "cells", None)
     try:
@@ -387,13 +386,13 @@ def _block_buffers(runs: list[tuple[int, int, float]], m: int):
         if scratch is None:
             scratch = _workspace.cells = np.empty(SCRATCH_CELLS, dtype=bool)
     except MemoryError:
-        need = 8 * words + cells
+        need = 8 * words + SCRATCH_CELLS
         raise MemoryError(
             f"one block of {m} trials needs {need:,} bytes ({need / 2**30:.1f} GiB) "
             "of fault bits, more than can be allocated; simulate a lower order "
             "or fewer trials"
         ) from None
-    return rows[:words], scratch[:cells]
+    return rows[:words], scratch
 
 
 def _draw_block(

@@ -1,4 +1,4 @@
-"""The paper's fixed reports: Table 3, its headline claims and two audits.
+"""The paper's fixed reports: Table 3 and two audits.
 
 Each evaluates the closed-form models in ``reliability`` at fixed rates and
 draws nothing. They live apart from the sweeps, so that a simulation loads
@@ -20,8 +20,6 @@ __all__ = [
     "TABLE3_RATES",
     "floor_to_sig_figs",
     "present_operations",
-    "ReductionClaims",
-    "reduction_claims_check",
     "PropositionReport",
     "proposition_check",
     "ExpansionSample",
@@ -80,41 +78,6 @@ def table3_report() -> tuple[Table3Row, ...]:
             )
         )
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class ReductionClaims:
-    """Headline reduction ratios of the two-level hierarchy at pf = 0.1.
-
-    ``vs_bare`` is pf / pe2 (claimed to exceed 40 at and below this rate),
-    ``vs_one_level`` is (pf / pe2) / (pf / pe1) (claimed to exceed 10).
-    """
-
-    pf: float
-    one_level_ratio: float
-    vs_bare: float
-    vs_one_level: float
-    bare_claim_holds: bool
-    one_level_claim_holds: bool
-
-
-def reduction_claims_check(pf: float = 0.1) -> ReductionClaims:
-    """Evaluate the two headline ratios at ``pf`` (default: 0.1, the edge
-    of the low error-probability region)."""
-    p = check_probability("pf", pf)
-    pe1 = pe_order(1, p)
-    pe2 = pe_order(2, p)
-    one_level = p / pe1
-    vs_bare = p / pe2
-    vs_one_level = vs_bare / one_level
-    return ReductionClaims(
-        pf=p,
-        one_level_ratio=one_level,
-        vs_bare=vs_bare,
-        vs_one_level=vs_one_level,
-        bare_claim_holds=vs_bare > 40.0,
-        one_level_claim_holds=vs_one_level > 10.0,
-    )
 
 
 @dataclass(frozen=True)

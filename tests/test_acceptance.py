@@ -6,6 +6,7 @@ Statistical criteria run at fixed seeds, so passes are reproducible, and
 use four binomial standard errors computed from the analytic probability.
 """
 
+import csv
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from htmr_lab import cli
 from htmr_lab.faults import RandomSource
 from htmr_lab.harness import SweepConfig, scenario_suite, sweep_analytic, sweep_monte_carlo
 from htmr_lab.network import build_network, run_trials
@@ -26,7 +28,6 @@ from htmr_lab.reports import (
     EXACT_ORDER2_EXPANSION,
     evaluate_power_series,
     proposition_check,
-    reduction_claims_check,
     table3_report,
 )
 from htmr_lab.voting import TripleInput, vote_with_alarm
@@ -152,13 +153,18 @@ def test_c07_voter_fault_model():
         assert abs(estimate.pe_hat - expected) <= four_se(expected, 1_000_000)
 
 
-def test_c08_reduction_claims_at_tenth():
+def test_c08_reduction_claims_at_tenth(tmp_path):
     with criterion("C08 reduction claims at pf=0.1 (>=40x bare, >=10x one level)"):
-        claims = reduction_claims_check(0.1)
-        assert claims.vs_bare >= 40.0
-        assert claims.vs_one_level >= 10.0
-        assert claims.vs_bare == pytest.approx(43.3, abs=0.1)
-        assert claims.vs_one_level == pytest.approx(12.1, abs=0.1)
+        # re is log10(pf / pe), so 10**re is the reduction against the bare module
+        out = tmp_path / "analytic.csv"
+        assert cli.main(["analytic", "--pf", "0.1", "--orders", "0,1,2", "--out", str(out)]) == 0
+        rows = csv.DictReader(out.read_text().splitlines()[1:])
+        re = {int(row["order"]): float(row["re"]) for row in rows}
+        vs_bare, vs_one_level = 10.0 ** re[2], 10.0 ** (re[2] - re[1])
+        assert vs_bare >= 40.0
+        assert vs_one_level >= 10.0
+        assert vs_bare == pytest.approx(43.3, abs=0.1)
+        assert vs_one_level == pytest.approx(12.1, abs=0.1)
 
 
 def test_c09_proposition_audit():

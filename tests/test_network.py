@@ -569,7 +569,7 @@ class TestFanOut:
 
     @pytest.fixture(autouse=True)
     def workers_for_any_work(self, monkeypatch):
-        # these small calls would run on the caller alone (see TestThreadGate)
+        # these small calls would run on the caller alone (see TestWorkerGate)
         monkeypatch.setattr(network, "BITS_PER_WORKER", 1)
 
     def record_processes(self, monkeypatch, tmp_path, processors):
@@ -591,7 +591,7 @@ class TestFanOut:
         monkeypatch.setattr(network, "_simulate_block", logged_block)
         return lambda: [int(pid) for pid in log.read_text().split()]
 
-    def test_threads_are_capped_at_the_processor_count(self, monkeypatch, tmp_path, forks):
+    def test_workers_are_capped_at_the_processor_count(self, monkeypatch, tmp_path, forks):
         net = build_network(1, 0.3)
         baseline = run_trials(net, 8 * 256, RandomSource(3), block_size=256)
         block_pids = self.record_processes(monkeypatch, tmp_path, processors=2)
@@ -609,7 +609,7 @@ class TestFanOut:
         assert forks == []
         assert block_pids() == [os.getpid()] * 4
 
-    def test_threads_are_capped_at_the_block_count(self, monkeypatch, tmp_path, forks):
+    def test_workers_are_capped_at_the_block_count(self, monkeypatch, tmp_path, forks):
         block_pids = self.record_processes(monkeypatch, tmp_path, processors=8)
         run_trials(build_network(1, 0.3), 2 * 256, RandomSource(3), workers=6, block_size=256)
         assert len(forks) == 1
@@ -782,7 +782,7 @@ class TestFanOut:
         assert forks == []
 
 
-class TestThreadGate:
+class TestWorkerGate:
     """Worker processes are forked only for calls with enough fault bits to pay."""
 
     def test_the_gate_runs_small_units_on_the_caller_alone(self, monkeypatch, forks):

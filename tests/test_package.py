@@ -13,7 +13,7 @@ import htmr_lab
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# every name the package namespace has always bound, by the module defining it
+# every name the package namespace binds, by the module defining it
 PUBLIC = {
     "faults": ("RandomSource", "SCENARIO_PATTERNS", "make_scenario"),
     "harness": (
@@ -31,10 +31,9 @@ PUBLIC = {
     ),
     "reports": (
         "CLAIMED_ORDER2_EXPANSION", "EXACT_ORDER2_EXPANSION", "ExpansionAudit",
-        "ExpansionSample", "PropositionReport", "ReductionClaims", "TABLE3_RATES",
-        "Table3Row", "evaluate_power_series", "expansion_audit", "floor_to_sig_figs",
-        "present_operations", "proposition_check", "reduction_claims_check",
-        "table3_report",
+        "ExpansionSample", "PropositionReport", "TABLE3_RATES", "Table3Row",
+        "evaluate_power_series", "expansion_audit", "floor_to_sig_figs",
+        "present_operations", "proposition_check", "table3_report",
     ),
     "voting": (
         "TmrRegister", "TripleInput", "VoteOutcome", "alarm_signal",

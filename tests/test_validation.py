@@ -20,7 +20,7 @@ from htmr_lab.reliability import (
     scenario_error_probability,
     tree_error_probability,
 )
-from htmr_lab.reports import expansion_audit, proposition_check, reduction_claims_check
+from htmr_lab.reports import expansion_audit, proposition_check
 from htmr_lab.voting import (
     TmrRegister,
     TripleInput,
@@ -64,7 +64,6 @@ PROBABILITY_ENTRIES = {
         lambda p, rng: tree_error_probability([0.1], 2, voter_fault_rate=p),
     "proposition_check": lambda p, rng: proposition_check(p, 3),
     "expansion_audit": lambda p, rng: expansion_audit([0.1, p]),
-    "reduction_claims_check": lambda p, rng: reduction_claims_check(p),
     "build_network/leaves": lambda p, rng: build_network(1, p),
     "build_network/voters": lambda p, rng: build_network(1, 0.1, voter_fault_rate=p),
     "SweepConfig/pf": lambda p, rng: SweepConfig.single(p),
