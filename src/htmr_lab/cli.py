@@ -13,9 +13,11 @@ Subcommands map one-to-one onto the library reports:
 Every subcommand honors ``--format csv|json`` and ``--out`` (default:
 stdout). Output is deterministic byte for byte given the same flags: CSV
 starts with ``# htmr-lab v<version> seed=<seed> semantics=voter-passthrough``
-followed by a config echo, probabilities print with 12 significant digits,
-infinity prints as ``inf``, and absent values are empty cells (CSV) or
-null (JSON); sweep headers echo the orders as they ran (``orders=1,2``).
+followed by a config echo whose floats read back as the same double (with
+12 significant digits where those do), probabilities print with 12
+significant digits, infinity prints as ``inf``, and absent values are empty
+cells (CSV) or null (JSON); sweep headers echo the orders as they ran
+(``orders=1,2``).
 
 argparse parses every flag once, so a malformed flag, or ``--order`` given
 with ``--orders``, is a usage error; the library rejects values that break
@@ -41,7 +43,6 @@ import sys
 from dataclasses import astuple, dataclass, fields
 
 from . import __version__
-from .faults import SCENARIO_PATTERNS
 from .harness import (
     ComparisonRow,
     SweepConfig,
@@ -81,6 +82,15 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _fmt_echo(value) -> str:
+    """A header value; a float prints as a cell where that reads back as
+    the same double, and in full otherwise."""
+    text = _fmt_cell(value)
+    if isinstance(value, float) and float(text) != value:
+        return repr(float(value))
+    return text
+
+
 def _json_value(value):
     if isinstance(value, float) and math.isinf(value):
         return "inf"
@@ -88,7 +98,7 @@ def _json_value(value):
 
 
 def render_csv(doc: OutputDocument) -> str:
-    echo = " ".join(f"{k}={_fmt_cell(v)}" for k, v in doc.meta.items())
+    echo = " ".join(f"{k}={_fmt_echo(v)}" for k, v in doc.meta.items())
     lines = [f"# htmr-lab v{__version__} {echo}"]
     lines.append(",".join(doc.columns))
     for row in doc.rows:
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pfmb", type=_parse_pfmb, default=0.0)
     p.add_argument("--trials", type=_parse_trials, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", choices=SCENARIO_PATTERNS, default=None)
+    p.add_argument("--scenario", default=None)
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)

@@ -45,24 +45,24 @@ def check_integer(name: str, value) -> int:
 
 
 def check_probability(name: str, value: float) -> float:
-    """Validate that ``value`` is a probability; returns it as a float."""
+    """Validate that ``value`` is a probability; returns it as a float, -0.0 as 0.0."""
     p = float(value)
     if math.isnan(p) or not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return p
+    return p + 0.0
 
 
 SCENARIO_PATTERNS = ("NNF", "NFF", "FFF")
 
 
-def make_scenario(pattern: str, rate: float) -> tuple[float, float, float]:
-    """Error rates of a voter's three modules from an "NNF"-style pattern.
+def make_scenario(pattern: str, rate: float) -> tuple[float, ...]:
+    """Leaf error rates from an "NNF"-style pattern, one rate per letter.
 
     'N' is a fault-free module (rate 0), 'F' a faulty one erring at
-    ``rate``. Positions correspond to the three voter inputs in order.
+    ``rate``, in leaf order; ``reliability.check_leaves`` rules how many.
     """
-    if len(pattern) != 3 or set(pattern) - {"N", "F"}:
-        raise ValueError(f"scenario pattern must be three N/F letters, got {pattern!r}")
+    if not pattern or set(pattern) - {"N", "F"}:
+        raise ValueError(f"scenario pattern must be N/F letters, got {pattern!r}")
     rate = check_probability("module error rate", rate)
     return tuple(rate if c == "F" else 0.0 for c in pattern)
 

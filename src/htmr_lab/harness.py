@@ -35,6 +35,7 @@ from .faults import (
 )
 from .network import block_trials, build_network, run_trials
 from .reliability import (
+    check_leaves,
     check_order,
     pem_order,
     reduction_rate,
@@ -61,9 +62,11 @@ class SweepConfig:
 
     ``pfmb`` is either the string "pf" (voter fault rate tracks the module
     rate point by point) or a fixed probability (0 disables voter faults).
-    ``trials`` = 0 requests analytic columns only. ``scenario`` restricts
-    the leaf population to an "NNF"-style pattern tiled across the tree;
-    scenario sweeps require orders >= 1 and a zero voter fault rate.
+    ``trials`` = 0 requests analytic columns only. ``scenario`` is an
+    N/F leaf pattern (see ``make_scenario``) tiled across the tree: 3**k
+    letters, k <= the lowest order, and a zero voter fault rate. The
+    checked values are stored: ``orders`` as ints and rates as floats,
+    -0.0 as 0.0.
     """
 
     pf_min: float
@@ -83,12 +86,14 @@ class SweepConfig:
         if self.pf_steps < 1:
             raise ValueError(f"pf_steps must be >= 1, got {self.pf_steps}")
         if self.pf_steps == 1:
-            check_probability("pf", self.pf_min)
-            if self.pf_min != self.pf_max:
+            pf = check_probability("pf", self.pf_min)
+            if pf != self.pf_max:
                 raise ValueError("a single-point grid needs pf_min == pf_max")
+            object.__setattr__(self, "pf_min", pf)
+            object.__setattr__(self, "pf_max", pf)
         else:
-            check_probability("pf_min", self.pf_min)
-            check_probability("pf_max", self.pf_max)
+            object.__setattr__(self, "pf_min", check_probability("pf_min", self.pf_min))
+            object.__setattr__(self, "pf_max", check_probability("pf_max", self.pf_max))
             if not self.pf_min < self.pf_max:
                 raise ValueError("grid needs pf_min < pf_max")
         if self.pf_scale not in ("lin", "log"):
@@ -97,8 +102,7 @@ class SweepConfig:
             raise ValueError("logarithmic grids need pf_min > 0")
         if not self.orders:
             raise ValueError("at least one order is required")
-        for j in self.orders:
-            check_order("orders", j)
+        object.__setattr__(self, "orders", tuple(check_order("orders", j) for j in self.orders))
         if any(a >= b for a, b in zip(self.orders, self.orders[1:])):
             raise ValueError(
                 f"orders must be strictly ascending, without repeats, got {self.orders}"
@@ -107,16 +111,12 @@ class SweepConfig:
             if self.pfmb != "pf":
                 raise ValueError(f"pfmb must be 'pf' or a probability, got {self.pfmb!r}")
         else:
-            check_probability("pfmb", self.pfmb)
+            object.__setattr__(self, "pfmb", check_probability("pfmb", self.pfmb))
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.scenario is not None:
-            if self.scenario not in SCENARIO_PATTERNS:
-                raise ValueError(
-                    f"scenario must be one of {SCENARIO_PATTERNS}, got {self.scenario!r}"
-                )
-            if 0 in self.orders:
-                raise ValueError("scenario sweeps need orders >= 1 (order 0 has no voter)")
+            # orders ascend, so a pattern that fits the lowest fits them all
+            check_leaves(make_scenario(self.scenario, 0.0), self.orders[0])
             if self.pfmb != 0.0:
                 raise ValueError("scenario sweeps model fault-free voters (pfmb must be 0)")
         if self.workers < 1:
@@ -142,8 +142,8 @@ class SweepConfig:
         return pf if self.pfmb == "pf" else float(self.pfmb)
 
     def leaves_at(self, pf: float) -> tuple[float, ...]:
-        """Leaf error rates at ``pf``: every module at ``pf``, or the
-        scenario's triple, tiled across the tree."""
+        """Leaf error rates at ``pf``: every module at ``pf``, or one rate
+        per letter of the scenario's pattern, tiled across the tree."""
         return (pf,) if self.scenario is None else make_scenario(self.scenario, pf)
 
 
@@ -248,7 +248,7 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
     master = RandomSource(cfg.seed)
     suite: dict[str, list[ComparisonRow]] = {}
     for s, pattern in enumerate(SCENARIO_PATTERNS):
-        # SweepConfig enforces the scenario rules (orders >= 1, pfmb = 0)
+        # SweepConfig enforces the scenario rules (the pattern fits, pfmb = 0)
         sub = replace(cfg, scenario=pattern)
         if cfg.trials >= 1:
             suite[pattern] = _empirical_rows(sub, master.derive(s))

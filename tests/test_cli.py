@@ -4,13 +4,20 @@ import argparse
 import decimal
 import gc
 import json
+import math
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from htmr_lab import __version__, cli, network
 from htmr_lab.cli import _parse_trials, main
+from htmr_lab.faults import make_scenario
+from htmr_lab.reliability import tree_error_probability
+
+ROOT = Path(__file__).resolve().parents[1]
 
 HEADER_PREFIX = f"# htmr-lab v{__version__} seed="
 
@@ -27,6 +34,26 @@ def data_rows(csv_text):
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("# htmr-lab v")
     return lines[1], lines[2:]
+
+
+# the CSV header's echo keys and the flags that set them
+ECHO_FLAGS = {
+    "pf": "--pf", "pf_min": "--pf-min", "pf_max": "--pf-max", "pf_steps": "--pf-steps",
+    "pf_scale": "--pf-scale", "orders": "--orders", "pfmb": "--pfmb",
+    "trials": "--trials", "seed": "--seed", "scenario": "--scenario",
+}
+
+
+def echoed_argv(csv_text):
+    """The command and flags a CSV document's header echoes, as an argv."""
+    echo = dict(item.split("=", 1) for item in csv_text.splitlines()[0].split()[3:])
+    if "trials" not in echo:
+        del echo["seed"]  # a command that draws nothing takes no --seed
+    argv = [echo["command"]]
+    for key, flag in ECHO_FLAGS.items():
+        if key in echo:
+            argv += [flag, echo[key]]
+    return argv
 
 
 class TestTruthTable:
@@ -330,7 +357,9 @@ class TestFlagParsing:
          "argument --orders: expects comma-separated integers, got '1,x'"),
         (("simulate", "--trials", "10", "--orders", "1,x"), "argument --orders:"),
         (("scenarios", "--orders", ""), "argument --orders:"),
-        (("simulate", "--trials", "10", "--scenario", "NNN"), "argument --scenario:"),
+        # a pattern is checked by the library (TestScenarioPatterns); a
+        # missing one is argparse's
+        (("simulate", "--trials", "10", "--scenario"), "argument --scenario:"),
     ])
     def test_malformed_flags_are_usage_errors(self, capsys, argv, reason):
         with pytest.raises(SystemExit) as exc:
@@ -432,7 +461,8 @@ class TestScenarios:
         code, out, err = run_cli(capsys, "scenarios", "--pf", "0.2", "--orders", orders)
         assert code == 2
         assert out == ""
-        assert "scenario sweeps need orders >= 1" in err
+        # the three-letter patterns do not fit the lowest order, 0
+        assert "an order-0 tree takes 3**k leaf error rates with k <= 0, got 3" in err
 
     def test_empirical_suite(self, capsys):
         code, out, _ = run_cli(
@@ -441,6 +471,62 @@ class TestScenarios:
         assert code == 0
         _, rows = data_rows(out)
         assert all(row.split(",")[-2] == "5000" for row in rows)
+
+
+class TestScenarioPatterns:
+    """``simulate --scenario`` takes any N/F pattern of 3**k letters, k <=
+    the lowest order: ``check_leaves``' rule, as for any leaf rates."""
+
+    def test_a_nine_letter_pattern_tracks_the_exact_tree(self, capsys):
+        pattern, trials = "NFFNNFFFN", 10**6
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", pattern, "--pf", "0.3", "--orders", "2,3",
+            "--trials", str(trials), "--seed", "2",
+        )
+        assert code == 0, err
+        columns, rows = data_rows(out)
+        assert len(rows) == 2
+        for row in rows:
+            cells = dict(zip(columns.split(","), row.split(",")))
+            exact = tree_error_probability(make_scenario(pattern, 0.3), int(cells["order"]))
+            assert float(cells["pe"]) == pytest.approx(exact, rel=1e-11)
+            z = (float(cells["pe_hat"]) - exact) / math.sqrt(exact * (1 - exact) / trials)
+            assert abs(z) < 5, (cells["order"], z)
+
+    @pytest.mark.parametrize("pattern", ["NNF", "NFF"])
+    def test_a_longer_tiling_runs_the_same_tree(self, capsys, pattern):
+        base = ("simulate", "--pf-min", "0.1", "--pf-max", "0.5", "--pf-steps", "3",
+                "--orders", "2,3", "--trials", "20000", "--seed", "4", "--scenario")
+        _, short, _ = run_cli(capsys, *base, pattern)
+        code, tiled, _ = run_cli(capsys, *base, pattern * 3)
+        assert code == 0
+        assert data_rows(tiled) == data_rows(short)
+
+    @pytest.mark.parametrize("pattern,orders,reason", [
+        ("NNX", "1", "scenario pattern must be N/F letters, got 'NNX'"),
+        ("NNN", "0,1", "an order-0 tree takes 3**k leaf error rates with k <= 0, got 3"),
+        ("", "1", "scenario pattern must be N/F letters, got ''"),
+        ("NN", "1", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 2"),
+        ("NNNF", "1,2", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 4"),
+        ("NFFNNFFFN", "1", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 9"),
+        ("NFFNNFFFN", "1,2", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 9"),
+    ])
+    def test_a_pattern_that_fits_no_tree_exits_2(self, capsys, pattern, orders, reason):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", pattern, "--pf", "0.1", "--orders", orders,
+            "--trials", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert reason in err
+
+    def test_an_all_fault_free_pattern_never_errs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scenario", "NNN", "--pf", "0.5", "--trials", "1000",
+        )
+        assert code == 0
+        _, rows = data_rows(out)
+        assert rows == ["0.5,1,0,0,inf,inf,inf,0,0,1000"]
 
 
 class TestTable3:
@@ -537,6 +623,65 @@ class TestOutputPlumbing:
         _, rows = data_rows(out)
         cells = rows[0].split(",")
         assert cells[4] == "1.63674613165"  # log10(0.1 / 0.002308096), 12 digits
+
+
+class TestEcho:
+    """A CSV header echoes the configuration that ran, so the document can
+    be reproduced from it alone."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--pf", "0.1234567890123456", "--orders", "1,2", "--trials", "1e5",
+         "--seed", "1"),
+        ("analytic", "--pf-min", "0.1234567890123456", "--pf-max", "0.3", "--pf-steps", "3",
+         "--orders", "1,2", "--pfmb", "0.01234567890123456"),
+        ("scenarios", "--pf", "0.2000000000000001", "--trials", "1000", "--seed", "2"),
+        ("simulate", "--scenario", "NFF", "--pf", "0.3", "--orders", "1,2", "--trials", "1000"),
+    ])
+    def test_rerunning_the_echoed_flags_reproduces_the_document(self, capsys, argv):
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, again, err = run_cli(capsys, *echoed_argv(first))
+        assert code == 0, err
+        assert again == first
+
+    def test_a_float_that_12_digits_cannot_hold_echoes_in_full(self, capsys):
+        _, out, _ = run_cli(capsys, "analytic", "--pf", "0.1234567890123456", "--orders", "1")
+        assert " pf=0.1234567890123456 " in out.splitlines()[0]
+        _, out, _ = run_cli(capsys, "analytic", "--pf", "0.1", "--orders", "1")
+        assert " pf=0.1 " in out.splitlines()[0]
+
+    @pytest.mark.parametrize("command", [
+        ("analytic", "--orders", "0,1"), ("simulate", "--orders", "0,1", "--trials", "1000"),
+    ])
+    @pytest.mark.parametrize("flags", [
+        ("--pf", "{}"),
+        ("--pf-min", "{}", "--pf-max", "0.5", "--pf-steps", "3"),
+        ("--pf", "0.2", "--pfmb", "{}"),
+    ])
+    def test_negative_zero_runs_as_zero(self, capsys, command, flags):
+        code, minus, _ = run_cli(capsys, *command, *(f.format("-0.0") for f in flags))
+        _, plus, _ = run_cli(capsys, *command, *(f.format("0") for f in flags))
+        assert code == 0
+        assert minus == plus
+
+
+def readme_cli_lines():
+    """The ``htmr-lab`` commands of README's ``## CLI`` block, comments cut."""
+    block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("htmr-lab ")]
+
+
+class TestReadme:
+    def test_the_cli_block_lists_commands(self):
+        assert len(readme_cli_lines()) >= 9
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_every_cli_example_runs(self, capsys, line):
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, err
+        assert out.startswith(HEADER_PREFIX)
 
 
 class TestRun:

@@ -10,8 +10,10 @@ from htmr_lab.faults import (
     RandomSource,
     SCENARIO_PATTERNS,
     SCRATCH_CELLS,
+    check_probability,
     make_scenario,
 )
+from htmr_lab.network import build_network
 
 
 class TestScenarios:
@@ -26,10 +28,26 @@ class TestScenarios:
             with pytest.raises(ValueError, match="module error rate must lie in"):
                 make_scenario("NFF", bad)
 
+    def test_any_number_of_letters_gives_one_rate_per_letter(self):
+        assert make_scenario("F", 0.3) == (0.3,)
+        assert make_scenario("NFFNNFFFN", 0.3) == (0.0, 0.3, 0.3, 0.0, 0.0, 0.3, 0.3, 0.3, 0.0)
+
     def test_bad_patterns_rejected(self):
-        for bad in ("NN", "NNNF", "NFX", ""):
-            with pytest.raises(ValueError):
+        # a letter other than N or F is the pattern's own error; how many
+        # letters a tree takes is check_leaves' rule, where the tree is built
+        for bad in ("NFX", "nnf", "", None):
+            with pytest.raises(ValueError, match="scenario pattern must be N/F letters"):
                 make_scenario(bad, 0.1)
+        for bad in ("NN", "NNNF", "NFFNNFFFN"):
+            with pytest.raises(ValueError, match=r"an order-1 tree takes 3\*\*k leaf error rates"):
+                build_network(1, make_scenario(bad, 0.1))
+
+
+class TestCheckProbability:
+    def test_negative_zero_comes_back_as_zero(self):
+        p = check_probability("p", -0.0)
+        assert p == 0.0 and math.copysign(1.0, p) == 1.0
+        assert type(check_probability("p", np.float64(0.5))) is float
 
 
 class TestRandomSource:

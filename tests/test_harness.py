@@ -68,6 +68,23 @@ class TestSweepConfig:
             SweepConfig.single(0.1, scenario="NNF", orders=(0, 1))
         with pytest.raises(ValueError):
             SweepConfig.single(0.1, scenario="NNF", orders=(1,), pfmb=0.1)
+        with pytest.raises(ValueError):
+            SweepConfig.single(0.1, scenario="NNFNNFNNF", orders=(1, 2))
+
+    def test_a_pattern_takes_3_to_the_k_letters_up_to_the_lowest_order(self):
+        assert SweepConfig.single(0.1, scenario="F", orders=(0, 1)).leaves_at(0.1) == (0.1,)
+        cfg = SweepConfig.single(0.1, scenario="NFFNNFFFN", orders=(2, 3))
+        assert len(cfg.leaves_at(0.1)) == 9
+
+    def test_checked_values_are_kept(self):
+        cfg = SweepConfig.single(0.1, orders=(True, 2), pfmb=-0.0)
+        assert cfg.orders == (1, 2) and all(type(j) is int for j in cfg.orders)
+        assert math.copysign(1.0, cfg.pfmb) == 1.0
+        rows = sweep_analytic(SweepConfig.single(0.1, orders=(1.0, 2.0)))
+        assert [type(row.order) for row in rows] == [int, int]
+        for cfg in (SweepConfig.single(-0.0), SweepConfig(pf_min=-0.0, pf_max=1.0, pf_steps=3)):
+            assert math.copysign(1.0, cfg.pf_min) == 1.0
+            assert math.copysign(1.0, cfg.pf_values()[0]) == 1.0
 
 
 class TestSweepAnalytic:
@@ -297,8 +314,9 @@ class TestScenarioSuite:
             scenario_suite(SweepConfig.single(0.1, orders=(1,), scenario="NNF"))
 
     def test_sweep_rules_apply_to_every_scenario(self):
+        # a three-letter pattern does not fit the lowest order, 0
         for orders in ((0,), (0, 1)):
-            with pytest.raises(ValueError, match="orders >= 1"):
+            with pytest.raises(ValueError, match=r"an order-0 tree takes 3\*\*k leaf error rates"):
                 scenario_suite(SweepConfig.single(0.2, orders=orders))
         with pytest.raises(ValueError, match="pfmb must be 0"):
             scenario_suite(SweepConfig.single(0.2, orders=(1,), pfmb="pf"))

@@ -1,7 +1,8 @@
 """The benchmark tracer still runs against the package.
 
 ``perfbench/tracer.py`` wraps ``harness.run_trials`` (binding its
-parameters by name) and harness's reliability functions from outside. If
+parameters by name), harness's reliability functions, and the CLI's
+``sweep_monte_carlo`` and ``scenario_suite`` from outside. If
 those names change, every traced benchmark repeat fails its rows; this
 test catches that in the ordinary suite.
 """
@@ -12,13 +13,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from htmr_lab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_run_matches_plain_cli(capsys):
-    argv = ["simulate", "--pf", "0.1", "--order", "2", "--trials", "1000"]
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pf", "0.1", "--order", "2", "--trials", "1000"],
+    ["scenarios", "--pf", "0.2", "--orders", "1,2", "--trials", "1000"],
+], ids=lambda argv: argv[0])
+def test_traced_run_matches_plain_cli(capsys, argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--run-id", "t", "--", *argv],
