@@ -69,6 +69,23 @@ DOCUMENTS = {
         "a9bc7a76e4b478a49d2d5399b69c459960cf23d086b4de1986edf6e00660ede8",
     ),
     "audit": ("audit", "893ae5b9b1bb449ff2fbf1c84c0d856350cbfad77dda211b2c147a94325b79ac"),
+    "truth_table": (
+        "truth-table",
+        "ec16d62b4e3bf58b7ff789287b1006753b7295d787e3714c8f8ec3bb028f1248",
+    ),
+    # the one-point header form, and README's headline ratios
+    "analytic_point": (
+        "analytic --pf 0.1 --orders 0,1,2",
+        "8072906d20880bc33c069d662b17e300b02a418ab26d9fffcfc1f28aaa13b470",
+    ),
+    "scenarios_analytic": (
+        "scenarios --pf-min 0.1 --pf-max 0.3 --pf-steps 3 --orders 1,2",
+        "0c1db13ebc1f0ca5e54ebf62c6c8ccd2d0b825a9d047beeddf7c664dbd9b14af",
+    ),
+    "audit_point_json": (
+        "audit --pf 0.5 --format json",
+        "5d0eb5c7d445e9912a187f7805aea5a1b8f5e7321788697d04e8462ff64ba58f",
+    ),
 }
 
 
