@@ -16,8 +16,10 @@ starts with ``# htmr-lab v<version> seed=<seed> semantics=voter-passthrough``
 followed by a config echo whose floats read back as the same double (with
 12 significant digits where those do), probabilities print with 12
 significant digits, infinity prints as ``inf``, and absent values are empty
-cells (CSV) or null (JSON); sweep headers echo the orders as they ran
-(``orders=1,2``).
+cells (CSV) or null (JSON). The echo holds the checked values that ran, not
+the flags as typed: a sweep's grid, orders and seed come from its
+``SweepConfig`` (``orders=1,2``; ``--scenario NNFNNFNNF`` echoes
+``scenario=NNF``), so two spellings of one run give one document.
 
 argparse parses every flag once, so a malformed flag, or ``--order`` given
 with ``--orders``, is a usage error; the library rejects values that break
@@ -62,9 +64,10 @@ SWEEP_COLUMNS = tuple(field.name for field in fields(ComparisonRow))
 class OutputDocument:
     """One serializable report: metadata echo, column names, data rows.
 
-    ``meta`` must start with the seed and the voter-failure-semantics tag;
-    the remaining entries echo the effective configuration so any output
-    file is reproducible on its own.
+    ``meta`` must start with the seed, the voter-failure-semantics tag and
+    the command, which ``_document`` writes for every command; the
+    remaining entries echo the effective configuration so any output file
+    is reproducible on its own.
     """
 
     meta: dict
@@ -127,13 +130,6 @@ def _emit(doc: OutputDocument, args) -> None:
         sys.stdout.write(text)
 
 
-def _meta(args, command: str, **extra) -> dict:
-    meta = {"seed": getattr(args, "seed", 0), "semantics": VOTER_SEMANTICS,
-            "command": command}
-    meta.update(extra)
-    return meta
-
-
 def _parse_orders(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -169,40 +165,43 @@ def _parse_pfmb(text: str):
         raise argparse.ArgumentTypeError(f"expects 'pf' or a probability, got {text!r}")
 
 
-def _grid_from_args(args) -> tuple[float, float, int, str]:
-    has_point = args.pf is not None
+def _document(command: str, columns, rows, seed=0, **echo) -> OutputDocument:
+    """A command's document: the header's required prefix (seed, semantics
+    tag, command), then ``echo``, the checked values the command ran with;
+    an entry of None, an option left unset, is left out."""
+    meta = {"seed": seed, "semantics": VOTER_SEMANTICS, "command": command}
+    meta |= {key: value for key, value in echo.items() if value is not None}
+    return OutputDocument(meta=meta, columns=tuple(columns), rows=list(rows))
+
+
+def _sweep_config(args, orders: tuple[int, ...], **run) -> SweepConfig:
+    """The sweep of a grid subcommand: one point (``--pf``) or a grid, the
+    orders, and ``run``, the other values that subcommand parsed."""
     grid = (args.pf_min, args.pf_max, args.pf_steps, args.pf_scale)
     has_grid = any(value is not None for value in grid)
-    if has_point and has_grid:
-        raise ValueError("give either --pf or a --pf-min/--pf-max grid, not both")
-    if has_point:
-        return (args.pf, args.pf, 1, "lin")
-    if has_grid:
-        if args.pf_min is None or args.pf_max is None:
-            raise ValueError("a grid needs both --pf-min and --pf-max")
-        steps = 21 if args.pf_steps is None else args.pf_steps
-        return (args.pf_min, args.pf_max, steps, args.pf_scale or "lin")
-    raise ValueError("give --pf or a --pf-min/--pf-max grid")
-
-
-def _sweep_config(args, orders: tuple[int, ...], trials: int, scenario=None) -> SweepConfig:
-    pf_min, pf_max, steps, scale = _grid_from_args(args)
+    if args.pf is not None:
+        if has_grid:
+            raise ValueError("give either --pf or a --pf-min/--pf-max grid, not both")
+        return SweepConfig.single(args.pf, orders=orders, **run)
+    if not has_grid:
+        raise ValueError("give --pf or a --pf-min/--pf-max grid")
+    if args.pf_min is None or args.pf_max is None:
+        raise ValueError("a grid needs both --pf-min and --pf-max")
     return SweepConfig(
-        pf_min=pf_min,
-        pf_max=pf_max,
-        pf_steps=steps,
-        pf_scale=scale,
+        pf_min=args.pf_min,
+        pf_max=args.pf_max,
+        pf_steps=21 if args.pf_steps is None else args.pf_steps,
+        pf_scale=args.pf_scale or "lin",
         orders=orders,
-        pfmb=getattr(args, "pfmb", 0.0),
-        trials=trials,
-        scenario=scenario,
-        seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 1),
+        **run,
     )
 
 
-def _sweep_echo(cfg: SweepConfig) -> dict:
-    """Grid and orders of a sweep, as they ran."""
+def _sweep_document(
+    cfg: SweepConfig, command: str, rows, columns=SWEEP_COLUMNS, **echo
+) -> OutputDocument:
+    """A sweep's document, echoing the seed, grid and orders of ``cfg``,
+    the configuration that ran, before ``echo``."""
     if cfg.pf_steps == 1:
         grid = {"pf": cfg.pf_min}
     else:
@@ -210,11 +209,8 @@ def _sweep_echo(cfg: SweepConfig) -> dict:
             "pf_min": cfg.pf_min, "pf_max": cfg.pf_max,
             "pf_steps": cfg.pf_steps, "pf_scale": cfg.pf_scale,
         }
-    return grid | {"orders": ",".join(map(str, cfg.orders))}
-
-
-def _sweep_rows(rows: list[ComparisonRow]) -> list[tuple]:
-    return [astuple(row) for row in rows]
+    orders = ",".join(map(str, cfg.orders))
+    return _document(command, columns, rows, seed=cfg.seed, **grid, orders=orders, **echo)
 
 
 def cmd_truth_table(args) -> OutputDocument:
@@ -224,65 +220,50 @@ def cmd_truth_table(args) -> OutputDocument:
         (t.y1, t.y2, t.y3, outcome.value, outcome.alarm)
         for t, outcome in enumerate_truth_table()
     ]
-    return OutputDocument(
-        meta=_meta(args, "truth-table"),
-        columns=("y1", "y2", "y3", "value", "alarm"),
-        rows=rows,
-    )
+    return _document("truth-table", ("y1", "y2", "y3", "value", "alarm"), rows)
 
 
 def cmd_analytic(args) -> OutputDocument:
-    cfg = _sweep_config(args, args.orders, trials=0)
-    rows = sweep_analytic(cfg)
-    meta = _meta(args, "analytic", **_sweep_echo(cfg), pfmb=cfg.pfmb)
-    return OutputDocument(meta=meta, columns=SWEEP_COLUMNS, rows=_sweep_rows(rows))
+    cfg = _sweep_config(args, args.orders, pfmb=args.pfmb)
+    rows = map(astuple, sweep_analytic(cfg))
+    return _sweep_document(cfg, "analytic", rows, pfmb=cfg.pfmb)
 
 
 def cmd_simulate(args) -> OutputDocument:
     orders = args.orders if args.order is None else (args.order,)
-    cfg = _sweep_config(args, orders, trials=args.trials, scenario=args.scenario)
-    rows = sweep_monte_carlo(cfg)
+    cfg = _sweep_config(
+        args, orders, pfmb=args.pfmb, trials=args.trials, scenario=args.scenario,
+        seed=args.seed, workers=args.workers,
+    )
+    rows = map(astuple, sweep_monte_carlo(cfg))
     # workers deliberately left out of the echo: results are contractually
     # identical for any worker count, so documents stay byte-identical too
-    meta = _meta(
-        args,
-        "simulate",
-        **_sweep_echo(cfg),
-        pfmb=cfg.pfmb,
-        trials=cfg.trials,
-        streams="derive(point,top,block)@6",
+    return _sweep_document(
+        cfg, "simulate", rows, pfmb=cfg.pfmb, trials=cfg.trials,
+        streams="derive(point,top,block)@6", scenario=cfg.scenario,
     )
-    if args.scenario:
-        meta["scenario"] = args.scenario
-    return OutputDocument(meta=meta, columns=SWEEP_COLUMNS, rows=_sweep_rows(rows))
 
 
 def cmd_scenarios(args) -> OutputDocument:
-    cfg = _sweep_config(args, args.orders, trials=args.trials)
-    suite = scenario_suite(cfg)
-    rows = []
-    for pattern, sub_rows in suite.items():
-        for cells in _sweep_rows(sub_rows):
-            rows.append(cells + (pattern,))
-    meta = _meta(
-        args,
-        "scenarios",
-        **_sweep_echo(cfg),
-        trials=cfg.trials,
-        streams="derive(scenario,point,top,block)@6",
+    cfg = _sweep_config(
+        args, args.orders, trials=args.trials, seed=args.seed, workers=args.workers
     )
-    return OutputDocument(meta=meta, columns=SWEEP_COLUMNS + ("scenario",), rows=rows)
+    rows = [
+        astuple(row) + (pattern,)
+        for pattern, sub_rows in scenario_suite(cfg).items()
+        for row in sub_rows
+    ]
+    return _sweep_document(
+        cfg, "scenarios", rows, columns=SWEEP_COLUMNS + ("scenario",),
+        trials=cfg.trials, streams="derive(scenario,point,top,block)@6",
+    )
 
 
 def cmd_table3(args) -> OutputDocument:
     from .reports import table3_report
 
     rows = [(row.pf,) + row.ops_presented for row in table3_report()]
-    return OutputDocument(
-        meta=_meta(args, "table3"),
-        columns=("pf", "module", "order1", "order2"),
-        rows=rows,
-    )
+    return _document("table3", ("pf", "module", "order1", "order2"), rows)
 
 
 def cmd_proposition(args) -> OutputDocument:
@@ -291,11 +272,9 @@ def cmd_proposition(args) -> OutputDocument:
     report = proposition_check(args.pf, args.j_max)
     flags = {j: None if ok is None else "yes" if ok else "no" for j, ok in report.comparisons}
     rows = [(j, pe, flags.get(j)) for j, pe in report.entries]
-    meta = _meta(
-        args, "proposition", pf=report.pf, j_max=args.j_max, verdict=report.verdict
-    )
-    return OutputDocument(
-        meta=meta, columns=("j", "pe", "decreased_from_previous"), rows=rows
+    return _document(
+        "proposition", ("j", "pe", "decreased_from_previous"), rows,
+        pf=report.pf, j_max=args.j_max, verdict=report.verdict,
     )
 
 
@@ -310,13 +289,10 @@ def cmd_audit(args) -> OutputDocument:
     rows = [
         (s.p, s.composed, s.claimed, s.abs_difference) for s in audit.samples
     ]
-    meta = _meta(args, "audit", max_abs_difference=audit.max_abs_difference)
-    doc = OutputDocument(
-        meta=meta,
-        columns=("p", "composed", "claimed", "abs_difference"),
-        rows=rows,
+    return _document(
+        "audit", ("p", "composed", "claimed", "abs_difference"), rows,
+        max_abs_difference=audit.max_abs_difference,
     )
-    return doc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

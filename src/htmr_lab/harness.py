@@ -65,8 +65,10 @@ class SweepConfig:
     ``trials`` = 0 requests analytic columns only. ``scenario`` is an
     N/F leaf pattern (see ``make_scenario``) tiled across the tree: 3**k
     letters, k <= the lowest order, and a zero voter fault rate. The
-    checked values are stored: ``orders`` as ints and rates as floats,
-    -0.0 as 0.0.
+    checked values are stored: ``orders`` as ints, rates as floats, -0.0
+    as 0.0, and a pattern in its shortest form, the shortest prefix that
+    tiles to it (``NNFNNFNNF`` as ``NNF``, ``FFF`` as ``F``), so one tree
+    has one configuration.
     """
 
     pf_min: float
@@ -115,8 +117,12 @@ class SweepConfig:
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.scenario is not None:
-            # orders ascend, so a pattern that fits the lowest fits them all
-            check_leaves(make_scenario(self.scenario, 0.0), self.orders[0])
+            # orders ascend, so a pattern that fits the lowest fits them all;
+            # at rate 1 each letter keeps its own rate (at 0 all read N), so
+            # the shortest rates are those of the shortest pattern's prefix
+            leaves = make_scenario(self.scenario, 1.0)
+            shortest = check_leaves("scenario letters", leaves, self.orders[0])
+            object.__setattr__(self, "scenario", self.scenario[: len(shortest)])
             if self.pfmb != 0.0:
                 raise ValueError("scenario sweeps model fault-free voters (pfmb must be 0)")
         if self.workers < 1:

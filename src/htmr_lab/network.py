@@ -142,7 +142,8 @@ class HtmrNetwork:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", check_order("order", self.order))
-        object.__setattr__(self, "leaves", check_leaves(self.leaves, self.order))
+        leaves = check_leaves("leaf error rates", self.leaves, self.order)
+        object.__setattr__(self, "leaves", leaves)
         check_probability("voter_fault_rate", self.voter_fault_rate)
 
     @property
@@ -175,7 +176,7 @@ def tile_scenario(leaves: Sequence[float], order: int) -> tuple[float, ...]:
     three modules (9 leaves at order 2), and so on.
     """
     order = check_order("order", order)
-    leaves = check_leaves(leaves, order)
+    leaves = check_leaves("leaf error rates", leaves, order)
     return leaves * (3 ** order // len(leaves))
 
 

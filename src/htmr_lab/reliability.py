@@ -54,11 +54,13 @@ def check_order(name: str, j: int) -> int:
     return j
 
 
-def check_leaves(leaves: Sequence[float], order: int) -> tuple[float, ...]:
+def check_leaves(name: str, leaves: Sequence[float], order: int) -> tuple[float, ...]:
     """Validate the leaf error rates of an order-``order`` tree.
 
     The tree takes 3**k rates, k <= ``order``, repeated across its 3**order
-    leaves; a rate of 0 is a fault-free module. Check ``order`` first.
+    leaves; a rate of 0 is a fault-free module. A count that fits no tree
+    is reported under ``name``, what the caller holds ("leaf error rates",
+    "scenario letters"). Check ``order`` first.
     Returns the shortest 3**i rates that tile to the same leaves, so two
     descriptions of one tree come back equal.
     """
@@ -66,7 +68,7 @@ def check_leaves(leaves: Sequence[float], order: int) -> tuple[float, ...]:
     sizes = [3 ** k for k in range(order + 1)]
     if len(rates) not in sizes:
         raise ValueError(
-            f"an order-{order} tree takes 3**k leaf error rates with "
+            f"an order-{order} tree takes 3**k {name} with "
             f"k <= {order}, got {len(rates)}"
         )
     return next(rates[:i] for i in sizes if rates[:i] * (len(rates) // i) == rates)
@@ -131,7 +133,7 @@ def tree_error_probability(
     """
     order = check_order("order", order)
     q = check_probability("voter_fault_rate", voter_fault_rate)
-    level = list(check_leaves(leaves, order))
+    level = list(check_leaves("leaf error rates", leaves, order))
     for _ in range(order):
         if len(level) == 1:
             # the leaves are tiled, so one value stands for its whole level

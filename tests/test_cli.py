@@ -462,7 +462,7 @@ class TestScenarios:
         assert code == 2
         assert out == ""
         # the three-letter patterns do not fit the lowest order, 0
-        assert "an order-0 tree takes 3**k leaf error rates with k <= 0, got 3" in err
+        assert "an order-0 tree takes 3**k scenario letters with k <= 0, got 3" in err
 
     def test_empirical_suite(self, capsys):
         code, out, _ = run_cli(
@@ -500,16 +500,29 @@ class TestScenarioPatterns:
         _, short, _ = run_cli(capsys, *base, pattern)
         code, tiled, _ = run_cli(capsys, *base, pattern * 3)
         assert code == 0
-        assert data_rows(tiled) == data_rows(short)
+        # the header echoes the pattern in its shortest form, so one tree
+        # prints one document
+        assert tiled == short
+
+    @pytest.mark.parametrize("pattern,echo", [
+        ("NNFNNFNNF", "NNF"), ("FFF", "F"), ("NFFNNFFFN", "NFFNNFFFN"),
+    ])
+    def test_a_pattern_echoes_in_its_shortest_form(self, capsys, pattern, echo):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scenario", pattern, "--pf", "0.3", "--orders", "2",
+            "--trials", "100",
+        )
+        assert code == 0
+        assert out.splitlines()[0].endswith(f" scenario={echo}")
 
     @pytest.mark.parametrize("pattern,orders,reason", [
         ("NNX", "1", "scenario pattern must be N/F letters, got 'NNX'"),
-        ("NNN", "0,1", "an order-0 tree takes 3**k leaf error rates with k <= 0, got 3"),
+        ("NNN", "0,1", "an order-0 tree takes 3**k scenario letters with k <= 0, got 3"),
         ("", "1", "scenario pattern must be N/F letters, got ''"),
-        ("NN", "1", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 2"),
-        ("NNNF", "1,2", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 4"),
-        ("NFFNNFFFN", "1", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 9"),
-        ("NFFNNFFFN", "1,2", "an order-1 tree takes 3**k leaf error rates with k <= 1, got 9"),
+        ("NN", "1", "an order-1 tree takes 3**k scenario letters with k <= 1, got 2"),
+        ("NNNF", "1,2", "an order-1 tree takes 3**k scenario letters with k <= 1, got 4"),
+        ("NFFNNFFFN", "1", "an order-1 tree takes 3**k scenario letters with k <= 1, got 9"),
+        ("NFFNNFFFN", "1,2", "an order-1 tree takes 3**k scenario letters with k <= 1, got 9"),
     ])
     def test_a_pattern_that_fits_no_tree_exits_2(self, capsys, pattern, orders, reason):
         code, out, err = run_cli(
@@ -636,6 +649,7 @@ class TestEcho:
          "--orders", "1,2", "--pfmb", "0.01234567890123456"),
         ("scenarios", "--pf", "0.2000000000000001", "--trials", "1000", "--seed", "2"),
         ("simulate", "--scenario", "NFF", "--pf", "0.3", "--orders", "1,2", "--trials", "1000"),
+        ("simulate", "--scenario", "NFFNFFNFF", "--pf", "0.3", "--orders", "2", "--trials", "1000"),
     ])
     def test_rerunning_the_echoed_flags_reproduces_the_document(self, capsys, argv):
         code, first, _ = run_cli(capsys, *argv)
@@ -682,6 +696,15 @@ class TestReadme:
         code, out, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, err
         assert out.startswith(HEADER_PREFIX)
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_every_cli_example_runs_as_json(self, capsys, line):
+        argv = shlex.split(line)[1:]
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        meta = json.loads(out)["meta"]  # after the tool and its version
+        assert list(meta)[2:5] == ["seed", "semantics", "command"]
+        assert meta["command"] == argv[0]
 
 
 class TestRun:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from htmr_lab import harness, network
-from htmr_lab.faults import RandomSource
+from htmr_lab.faults import RandomSource, make_scenario
 from htmr_lab.harness import SweepConfig, scenario_suite, sweep_analytic, sweep_monte_carlo
 from htmr_lab.reliability import (
     pe_first,
@@ -75,6 +75,16 @@ class TestSweepConfig:
         assert SweepConfig.single(0.1, scenario="F", orders=(0, 1)).leaves_at(0.1) == (0.1,)
         cfg = SweepConfig.single(0.1, scenario="NFFNNFFFN", orders=(2, 3))
         assert len(cfg.leaves_at(0.1)) == 9
+
+    @pytest.mark.parametrize("pattern,shortest", [
+        ("NFFNFFNFF", "NFF"), ("NNFNNFNNF", "NNF"), ("FFF", "F"), ("NNN", "N"),
+        ("NFFNNFFFN", "NFFNNFFFN"), ("F", "F"),
+    ])
+    def test_a_pattern_is_kept_in_its_shortest_form(self, pattern, shortest):
+        cfg = SweepConfig.single(0.1, scenario=pattern, orders=(2,))
+        assert cfg.scenario == shortest
+        [row] = sweep_analytic(cfg)
+        assert row.pe == tree_error_probability(make_scenario(pattern, 0.1), 2)
 
     def test_checked_values_are_kept(self):
         cfg = SweepConfig.single(0.1, orders=(True, 2), pfmb=-0.0)
@@ -316,7 +326,7 @@ class TestScenarioSuite:
     def test_sweep_rules_apply_to_every_scenario(self):
         # a three-letter pattern does not fit the lowest order, 0
         for orders in ((0,), (0, 1)):
-            with pytest.raises(ValueError, match=r"an order-0 tree takes 3\*\*k leaf error rates"):
+            with pytest.raises(ValueError, match=r"an order-0 tree takes 3\*\*k scenario letters"):
                 scenario_suite(SweepConfig.single(0.2, orders=orders))
         with pytest.raises(ValueError, match="pfmb must be 0"):
             scenario_suite(SweepConfig.single(0.2, orders=(1,), pfmb="pf"))

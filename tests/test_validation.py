@@ -59,7 +59,7 @@ PROBABILITY_ENTRIES = {
     "operations_per_error": lambda p, rng: operations_per_error(p),
     "scenario_error_probability": lambda p, rng: scenario_error_probability("FFF", p),
     "tree_error_probability/leaves": lambda p, rng: tree_error_probability([0.1, p, 0.2], 2),
-    "check_leaves": lambda p, rng: check_leaves([p], 0),
+    "check_leaves": lambda p, rng: check_leaves("leaf error rates", [p], 0),
     "tree_error_probability/voter_fault_rate":
         lambda p, rng: tree_error_probability([0.1], 2, voter_fault_rate=p),
     "proposition_check": lambda p, rng: proposition_check(p, 3),
