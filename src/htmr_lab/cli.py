@@ -31,21 +31,29 @@ the cap or needs more memory than can be allocated), 1 internal error.
 
 The fixed reports, the voter classes and ``json`` are imported by the
 commands that use them, when they run, so a CSV ``simulate`` loads none.
-``run()``, the process entry point, freezes the garbage collector once
-``main()`` is done, so the interpreter's exit skips its final collections;
-``main()`` itself never freezes, so it can be called again in process.
+Importing this module starts numpy without OpenBLAS's thread pool, unless
+``OPENBLAS_NUM_THREADS`` is already set: no command calls a BLAS routine.
+
+``run()``, the process entry point, is ``os._exit(main())``, which skips
+the interpreter's teardown and loses nothing: ``_emit`` flushes stdout,
+``--out`` is closed by its ``with``, ``run_trials`` reaps its workers, and
+argparse's ``SystemExit`` leaves through the normal exit.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import math
+import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple, NoReturn
 
-from . import __version__
-from .harness import (
+# before .harness imports numpy: no command calls a BLAS routine (linalg,
+# dot, matmul), so OpenBLAS's pool thread would only cost start-up time
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__  # noqa: E402
+from .harness import (  # noqa: E402
     ComparisonRow,
     SweepConfig,
     scenario_suite,
@@ -57,11 +65,10 @@ __all__ = ["main", "run", "OutputDocument", "render_csv", "render_json"]
 
 VOTER_SEMANTICS = "voter-passthrough"
 
-SWEEP_COLUMNS = tuple(field.name for field in fields(ComparisonRow))
+SWEEP_COLUMNS = ComparisonRow._fields
 
 
-@dataclass(frozen=True)
-class OutputDocument:
+class OutputDocument(NamedTuple):
     """One serializable report: metadata echo, column names, data rows.
 
     ``meta`` must start with the seed, the voter-failure-semantics tag and
@@ -128,6 +135,7 @@ def _emit(doc: OutputDocument, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # here, not at exit: run() ends by os._exit
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -225,8 +233,7 @@ def cmd_truth_table(args) -> OutputDocument:
 
 def cmd_analytic(args) -> OutputDocument:
     cfg = _sweep_config(args, args.orders, pfmb=args.pfmb)
-    rows = map(astuple, sweep_analytic(cfg))
-    return _sweep_document(cfg, "analytic", rows, pfmb=cfg.pfmb)
+    return _sweep_document(cfg, "analytic", sweep_analytic(cfg), pfmb=cfg.pfmb)
 
 
 def cmd_simulate(args) -> OutputDocument:
@@ -235,11 +242,10 @@ def cmd_simulate(args) -> OutputDocument:
         args, orders, pfmb=args.pfmb, trials=args.trials, scenario=args.scenario,
         seed=args.seed, workers=args.workers,
     )
-    rows = map(astuple, sweep_monte_carlo(cfg))
     # workers deliberately left out of the echo: results are contractually
     # identical for any worker count, so documents stay byte-identical too
     return _sweep_document(
-        cfg, "simulate", rows, pfmb=cfg.pfmb, trials=cfg.trials,
+        cfg, "simulate", sweep_monte_carlo(cfg), pfmb=cfg.pfmb, trials=cfg.trials,
         streams="derive(point,top,block)@6", scenario=cfg.scenario,
     )
 
@@ -249,7 +255,7 @@ def cmd_scenarios(args) -> OutputDocument:
         args, args.orders, trials=args.trials, seed=args.seed, workers=args.workers
     )
     rows = [
-        astuple(row) + (pattern,)
+        row + (pattern,)
         for pattern, sub_rows in scenario_suite(cfg).items()
         for row in sub_rows
     ]
@@ -388,15 +394,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def run() -> None:
+def run() -> NoReturn:
     """Console-script and ``python -m htmr_lab`` entry point.
 
-    Exits with ``main()``'s code after ``gc.freeze()``, also when argparse
-    raises ``SystemExit``: the interpreter's exit-time collections skip
-    frozen objects, and the process is about to end.
+    Exits with ``main()``'s code by ``os._exit``, once the document is
+    flushed, ``--out`` closed and every worker reaped; argparse's
+    ``SystemExit`` (``--help``, ``--version``, usage errors) exits normally.
     """
-    try:
-        code = main()
-    finally:
-        gc.freeze()
-    sys.exit(code)
+    os._exit(main())

@@ -22,7 +22,7 @@ with its own type and traceback, and a worker that dies, or is interrupted
 on its own, costs one re-run. A fork copies only the forking thread, so
 ``network`` forks only where no other Python thread is alive. On Python
 3.12 and later, ``os.fork`` warns in a process that runs native threads,
-such as an OpenBLAS pool, unless ``OPENBLAS_NUM_THREADS=1``.
+such as an OpenBLAS pool, unless ``OPENBLAS_NUM_THREADS=1`` (``cli`` sets it).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -153,8 +153,7 @@ class SweepConfig:
         return (pf,) if self.scenario is None else make_scenario(self.scenario, pf)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """Analytic (and optionally empirical) results for one (pf, order) pair.
 
     ``re``/``rem``/``re_per_module`` are None at pf = 0, where the
@@ -219,8 +218,7 @@ def _empirical_rows(cfg: SweepConfig, master: RandomSource) -> list[ComparisonRo
         )
         for order in cfg.orders:
             sub = estimate.subtree(order)
-            rows.append(replace(
-                _analytic_row(cfg, pf, order),
+            rows.append(_analytic_row(cfg, pf, order)._replace(
                 pe_hat=sub.pe_hat, std_err=sub.std_err, trials=sub.trials,
             ))
     return rows

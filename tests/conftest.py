@@ -1,6 +1,5 @@
 """Fixtures shared by the test modules."""
 
-import gc
 import os
 
 import pytest
@@ -50,17 +49,3 @@ def forks(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
     assert os.sched_getaffinity(0) == affinity
 
-
-@pytest.fixture(autouse=True)
-def nothing_left_frozen():
-    """Fail a test that leaves objects frozen by ``gc.freeze()``.
-
-    A freeze turns the garbage it catches into a leak, so only ``cli.run()``
-    may call it, as its process ends; ``cli.main`` called in process must
-    not. The frozen objects are released before the failure is reported.
-    """
-    yield
-    frozen = gc.get_freeze_count()
-    if frozen:
-        gc.unfreeze()
-        pytest.fail(f"{frozen} objects left frozen by gc.freeze()")

@@ -7,6 +7,7 @@ use four binomial standard errors computed from the analytic probability.
 """
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ import pytest
 from htmr_lab import cli
 from htmr_lab.faults import RandomSource
 from htmr_lab.harness import SweepConfig, scenario_suite, sweep_analytic, sweep_monte_carlo
+from htmr_lab import network
 from htmr_lab.network import build_network, run_trials
 from htmr_lab.reliability import pe_first, pe_order, pem_first
 from htmr_lab.reports import (
@@ -199,14 +201,17 @@ def test_c10_expansion_coefficients_audit():
         assert claimed_dev > 1e-6
 
 
-def _cli_bytes(*argv: str) -> bytes:
+def _cli(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
     # the checkout's package, whether or not it is installed
     src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "htmr_lab", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=check,
     )
-    return result.stdout
+
+
+def _cli_bytes(*argv: str) -> bytes:
+    return _cli(*argv).stdout
 
 
 def test_c11_byte_identical_documents(tmp_path):
@@ -219,7 +224,7 @@ def test_c11_byte_identical_documents(tmp_path):
         again = _cli_bytes(*simulate)
         threaded = _cli_bytes(*simulate, "--workers", "3")
         assert first == again == threaded
-        # a process that ends after run()'s gc.freeze() still flushes its file
+        # a process that ends by run()'s os._exit has closed its file
         out = tmp_path / "simulate.csv"
         assert _cli_bytes(*simulate, "--out", str(out)) == b""
         assert out.read_bytes() == first
@@ -230,6 +235,32 @@ def test_c11_byte_identical_documents(tmp_path):
         assert _cli_bytes(*sweep) == _cli_bytes(*sweep, "--workers", "4")
         scenarios = ("scenarios", "--pf", "0.3", "--trials", "5000", "--seed", "5")
         assert _cli_bytes(*scenarios) == _cli_bytes(*scenarios, "--workers", "2")
+
+
+DEEP_SHA256 = "c1968b994c2f32340f459a3a552ad165ff68a316915e199229799fbeaef9ccbf"
+
+
+def test_c11_a_forked_run_exits_cleanly(tmp_path):
+    with criterion("C11 a process that forked a worker exits cleanly"):
+        # 121 fault bits a trial (81 leaves, 40 voters): 1.2e6 trials are two
+        # multiples of BITS_PER_WORKER, so --workers 2 forks a worker on a
+        # box with two processors or more
+        assert 1_200_000 * 121 // network.BITS_PER_WORKER == 2
+        deep = (
+            "simulate", "--order", "4", "--pf", "0.1", "--pfmb", "pf",
+            "--trials", "1200000", "--seed", "1",
+        )
+        for workers in ("1", "2"):
+            result = _cli(*deep, "--workers", workers)
+            assert (result.returncode, result.stderr) == (0, b"")
+            assert hashlib.sha256(result.stdout).hexdigest() == DEEP_SHA256
+            out = tmp_path / f"deep{workers}.csv"
+            result = _cli(*deep, "--workers", workers, "--out", str(out))
+            assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == DEEP_SHA256
+        bad = _cli("simulate", "--pf", "1.5", "--trials", "10", check=False)
+        assert (bad.returncode, bad.stdout) == (2, b"")
+        assert bad.stderr == b"htmr-lab: error: pf must lie in [0, 1], got 1.5\n"
 
 
 def test_c12_low_probability_note():

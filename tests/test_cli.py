@@ -2,10 +2,12 @@
 
 import argparse
 import decimal
-import gc
+import errno
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 from htmr_lab import __version__, cli, network
 from htmr_lab.cli import _parse_trials, main
 from htmr_lab.faults import make_scenario
+from htmr_lab.harness import ComparisonRow, SweepConfig, sweep_monte_carlo
 from htmr_lab.reliability import tree_error_probability
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -707,21 +710,32 @@ class TestReadme:
         assert meta["command"] == argv[0]
 
 
+class Exited(BaseException):
+    """Raised in place of ``os._exit`` in process, carrying its code."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+
+
 class TestRun:
     @pytest.fixture
     def events(self, monkeypatch):
-        """Record ``main()``'s start and end and each ``gc.freeze()`` call,
-        with the freeze replaced, so nothing in the session is frozen."""
+        """Record ``main()``'s call and return and each ``os._exit`` call,
+        with the exit replaced by raising ``Exited``, so pytest lives on."""
         events = []
-        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+        def recorded_exit(code):
+            events.append(f"os._exit({code})")
+            raise Exited(code)
 
         def recorded_main(argv=None):
             events.append("main")
-            try:
-                return main(argv)
-            finally:
-                events.append("main done")
+            code = main(argv)
+            events.append("main returned")
+            return code
 
+        monkeypatch.setattr(os, "_exit", recorded_exit)
         monkeypatch.setattr(cli, "main", recorded_main)
         return events
 
@@ -734,8 +748,83 @@ class TestRun:
     def test_freezes_after_main_then_exits_with_its_code(
         self, monkeypatch, capsys, events, argv, code
     ):
+        """``run()`` ends by ``os._exit`` with ``main()``'s code, and
+        argparse's own ``SystemExit`` leaves before it, by the normal exit."""
         monkeypatch.setattr(sys, "argv", ["htmr-lab", *argv])
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises((Exited, SystemExit)) as exc:
             cli.run()
         assert exc.value.code == code
-        assert events == ["main", "main done", "freeze"]
+        if argv[0] == "analytic":
+            assert type(exc.value) is Exited
+            assert events == ["main", "main returned", f"os._exit({code})"]
+        else:
+            assert type(exc.value) is SystemExit
+            assert events == ["main"]
+
+    def test_stdout_is_flushed_before_os_exit(self, monkeypatch, events):
+        class Stdout:
+            text = ""
+
+            def write(self, text):
+                self.text += text
+
+            def flush(self):
+                events.append(f"flush {len(self.text)}")
+
+        stdout = Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["htmr-lab", "truth-table"])
+        with pytest.raises(Exited):
+            cli.run()
+        assert stdout.text.startswith(HEADER_PREFIX)
+        assert events == [
+            "main", f"flush {len(stdout.text)}", "main returned", "os._exit(0)",
+        ]
+
+    def test_a_broken_pipe_at_the_flush_exits_1(self, monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["truth-table"]) == 1
+        assert capsys.readouterr().err == ""
+
+
+def test_sweep_rows_are_tuples_in_column_order():
+    assert cli.SWEEP_COLUMNS == ComparisonRow._fields == tuple(SWEEP_HEADER.split(","))
+    rows = sweep_monte_carlo(SweepConfig.single(0.1, orders=(1, 2), trials=1000, seed=3))
+    assert [row.order for row in rows] == [1, 2]
+    for row in rows:
+        assert type(row) is ComparisonRow and isinstance(row, tuple)
+        assert row == tuple(getattr(row, name) for name in cli.SWEEP_COLUMNS)
+        assert row.trials == 1000
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+class TestBlasPool:
+    """Importing the CLI starts numpy without OpenBLAS's thread pool."""
+
+    PROBE = (
+        "import os, htmr_lab.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+
+    def probe(self, **env):
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        base["PYTHONPATH"] = str(ROOT / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE], env=base | env,
+            capture_output=True, text=True, check=True,
+        )
+        return result.stdout.split()
+
+    def test_the_import_runs_one_thread(self):
+        assert self.probe() == ["1", "1"]
+
+    def test_a_value_already_set_is_kept(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="2")[1] == "2"
