@@ -64,7 +64,8 @@ class SweepConfig:
     rate point by point) or a fixed probability (0 disables voter faults).
     ``trials`` = 0 requests analytic columns only. ``scenario`` is an
     N/F leaf pattern (see ``make_scenario``) tiled across the tree: 3**k
-    letters, k <= the lowest order, and a zero voter fault rate. The
+    letters, k <= the lowest order, with or without voter faults; ``pem``
+    then anchors at its leftmost leaf and reads the evaluator (``pem_order``). The
     checked values are stored: ``orders`` as ints, rates as floats, -0.0
     as 0.0, and a pattern in its shortest form, the shortest prefix that
     tiles to it (``NNFNNFNNF`` as ``NNF``, ``FFF`` as ``F``), so one tree
@@ -123,8 +124,6 @@ class SweepConfig:
             leaves = make_scenario(self.scenario, 1.0)
             shortest = check_leaves("scenario letters", leaves, self.orders[0])
             object.__setattr__(self, "scenario", self.scenario[: len(shortest)])
-            if self.pfmb != 0.0:
-                raise ValueError("scenario sweeps model fault-free voters (pfmb must be 0)")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -175,9 +174,11 @@ class ComparisonRow(NamedTuple):
 
 
 def _analytic_row(cfg: SweepConfig, pf: float, order: int) -> ComparisonRow:
-    pe = tree_error_probability(cfg.leaves_at(pf), order)
-    # the paper's recursion is for uniform leaves; scenarios have pfmb = 0
-    pem = pe if cfg.scenario is not None else pem_order(order, pf, cfg.pfmb_at(pf))
+    """``pe`` and ``pem`` over ``cfg.leaves_at(pf)``, also a pattern's under voter
+    faults; ``pem`` anchors at the leftmost leaf and reads the evaluator."""
+    leaves = cfg.leaves_at(pf)
+    pe = tree_error_probability(leaves, order)
+    pem = pem_order(order, leaves, cfg.pfmb_at(pf))
     if pf == 0.0:
         re = rem = re_per_module = None
     else:
@@ -241,9 +242,11 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
     """All three faulty-module scenarios over the grid, keyed by pattern.
 
     Every scenario is tiled across each requested order (the same pattern
-    on every bottom triple). With ``trials`` = 0 the rows are analytic
-    only. Otherwise scenario ``s`` at point ``i`` runs one network, of the
-    highest requested order ``top``, on the stream
+    on every bottom triple), with ``cfg``'s voter faults; ``pem`` anchors at
+    its leftmost leaf and reads the evaluator (``pem_order``). With
+    ``trials`` = 0 the rows are analytic only. Otherwise scenario ``s`` at
+    point ``i`` runs one network, of the highest requested order ``top``,
+    on the stream
     ``RandomSource(seed).derive(s, i, top)``, and every requested order's
     row is read off those trials, as in ``sweep_monte_carlo``.
     """
@@ -252,7 +255,7 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
     master = RandomSource(cfg.seed)
     suite: dict[str, list[ComparisonRow]] = {}
     for s, pattern in enumerate(SCENARIO_PATTERNS):
-        # SweepConfig enforces the scenario rules (the pattern fits, pfmb = 0)
+        # SweepConfig enforces the scenario rule (the pattern fits)
         sub = replace(cfg, scenario=pattern)
         if cfg.trials >= 1:
             suite[pattern] = _empirical_rows(sub, master.derive(s))

@@ -10,8 +10,8 @@ the majority vote is wrong. Nesting voters hierarchically composes this
 polynomial with itself (``pe_order``). ``tree_error_probability`` is the
 one exact evaluator: it works a voter tree bottom-up from its leaf error
 rates, with or without voter faults, and ``pe_order``, ``pem_first`` and
-``scenario_error_probability`` are calls to it. ``pem_order`` is the
-paper's own voter-fault recursion, a different model from order 2 on.
+``scenario_error_probability`` are calls to it. ``pem_order``, the paper's
+own voter-fault recursion, reads it too: a different model from order 2 on.
 Reduction rates are expressed in decades (log base 10).
 
 Probabilities are plain floats validated to lie in [0, 1]; out-of-range
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Sequence, Union
+
+import numpy as np
 
 from .faults import check_integer, check_probability, make_scenario
 
@@ -153,25 +155,27 @@ def pe_order(j: int, pf: float) -> float:
     return tree_error_probability((pf,), j)
 
 
-def pem_order(j: int, pf: float, pfmb: float) -> float:
+def pem_order(j: int, leaves: Union[float, Sequence[float]], pfmb: float) -> float:
     """The paper's voter-fault recursion for a ``j``-level hierarchy.
 
-    pem_j = pem_{j-1} * pfmb + pe_j * (1 - pfmb), anchored at the bare
-    module, pem_0 = ``pf``: a failed top voter exposes the level below, a
-    working one sees subtrees whose voters are all fault-free. Level 1 is
-    exact, and with ``pfmb`` = 0 this equals ``pe_order(j, pf)`` bit for
-    bit. From order 2 on it is a different model from a tree whose voters
-    all fail at ``pfmb``, which ``tree_error_probability`` evaluates and
-    the simulator samples: at pf = pfmb = 0.1 order 2 gives 0.005597
-    here against 0.006787 for that tree.
+    pem_j = pem_{j-1} * pfmb + pe_j * (1 - pfmb), anchored at the leftmost
+    leaf, pem_0 = ``leaves[0]``: a failed top voter exposes its leftmost
+    subtree, a working one sees the fault-free tree, whose pe_j over the
+    leftmost 3**j leaves is read off ``tree_error_probability``. So one rate
+    or any 3**k rates (a leaf pattern) take voter faults. Level 1 is exact,
+    and with ``pfmb`` = 0 this equals ``tree_error_probability(leaves, j)``
+    bit for bit. From order 2 on it is a different model from a tree whose
+    voters all fail at ``pfmb``, which the evaluator and the simulator
+    share: at pf = pfmb = 0.1 order 2 gives 0.005597 here against 0.006787.
     """
     j = check_order("j", j)
-    p = check_probability("pf", pf)
+    leaves = check_leaves(
+        "leaf error rates", (leaves,) if np.ndim(leaves) == 0 else leaves, j
+    )
     q = check_probability("pfmb", pfmb)
-    pe = pem = p
-    for _ in range(j):
-        pe = pe_first(pe)
-        pem = pem * q + pe * (1.0 - q)
+    pem = leaves[0]
+    for k in range(1, j + 1):
+        pem = pem * q + tree_error_probability(leaves[:3 ** k], k) * (1.0 - q)
     return pem
 
 

@@ -18,7 +18,7 @@ from htmr_lab import __version__, cli, network
 from htmr_lab.cli import _parse_trials, main
 from htmr_lab.faults import make_scenario
 from htmr_lab.harness import ComparisonRow, SweepConfig, sweep_monte_carlo
-from htmr_lab.reliability import tree_error_probability
+from htmr_lab.reliability import pem_order, tree_error_probability
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -482,19 +482,58 @@ class TestScenarioPatterns:
 
     def test_a_nine_letter_pattern_tracks_the_exact_tree(self, capsys):
         pattern, trials = "NFFNNFFFN", 10**6
+        leaves = make_scenario(pattern, 0.3)
+        for pfmb, q in (("0", 0.0), ("pf", 0.3)):
+            code, out, err = run_cli(
+                capsys, "simulate", "--scenario", pattern, "--pf", "0.3", "--orders", "2,3",
+                "--pfmb", pfmb, "--trials", str(trials), "--seed", "2",
+            )
+            assert code == 0, err
+            columns, rows = data_rows(out)
+            assert len(rows) == 2
+            for row in rows:
+                cells = dict(zip(columns.split(","), row.split(",")))
+                order = int(cells["order"])
+                exact = tree_error_probability(leaves, order, q)
+                assert float(cells["pe"]) == pytest.approx(
+                    tree_error_probability(leaves, order), rel=1e-11
+                )
+                # the paper's recursion: the exact tree at q = 0, and from
+                # order 2 on a different model from the sampled tree
+                assert float(cells["pem"]) == pytest.approx(
+                    pem_order(order, leaves, q), rel=1e-11
+                )
+                z = (float(cells["pe_hat"]) - exact) / math.sqrt(exact * (1 - exact) / trials)
+                assert abs(z) < 5, (pfmb, order, z)
+
+    def test_voter_faults_under_a_pattern_are_exact_at_order_1(self, capsys):
+        trials, leaves = 10**5, make_scenario("NFF", 0.2)
         code, out, err = run_cli(
-            capsys, "simulate", "--scenario", pattern, "--pf", "0.3", "--orders", "2,3",
-            "--trials", str(trials), "--seed", "2",
+            capsys, "simulate", "--scenario", "NFF", "--pf", "0.2", "--pfmb", "pf",
+            "--orders", "1,2,3", "--trials", str(trials), "--seed", "3",
         )
         assert code == 0, err
         columns, rows = data_rows(out)
-        assert len(rows) == 2
         for row in rows:
             cells = dict(zip(columns.split(","), row.split(",")))
-            exact = tree_error_probability(make_scenario(pattern, 0.3), int(cells["order"]))
-            assert float(cells["pe"]) == pytest.approx(exact, rel=1e-11)
+            order = int(cells["order"])
+            exact = tree_error_probability(leaves, order, 0.2)
+            if order == 1:
+                assert float(cells["pem"]) == pytest.approx(exact, rel=1e-12)
             z = (float(cells["pe_hat"]) - exact) / math.sqrt(exact * (1 - exact) / trials)
-            assert abs(z) < 5, (cells["order"], z)
+            assert abs(z) < 5, (order, z)
+
+    def test_pattern_f_with_voter_faults_prints_the_uniform_rows(self, capsys):
+        base = ("simulate", "--pf-min", "0.1", "--pf-max", "0.5", "--pf-steps", "3",
+                "--orders", "1,2", "--pfmb", "pf", "--trials", "20000", "--seed", "6")
+        code, uniform, _ = run_cli(capsys, *base)
+        assert code == 0
+        code, pattern, _ = run_cli(capsys, *base, "--scenario", "FFF")
+        assert code == 0
+        # one tree and one stream key: only the header's echo tells them apart
+        head, _, body = pattern.partition("\n")
+        assert head == uniform.partition("\n")[0] + " scenario=F"
+        assert body == uniform.partition("\n")[2]
 
     @pytest.mark.parametrize("pattern", ["NNF", "NFF"])
     def test_a_longer_tiling_runs_the_same_tree(self, capsys, pattern):
@@ -745,9 +784,7 @@ class TestRun:
         (["--version"], 0),  # argparse raises SystemExit
         (["simulate", "--pf", "0.1"], 2),  # argparse usage error: no --trials
     ])
-    def test_freezes_after_main_then_exits_with_its_code(
-        self, monkeypatch, capsys, events, argv, code
-    ):
+    def test_exits_with_mains_code(self, monkeypatch, capsys, events, argv, code):
         """``run()`` ends by ``os._exit`` with ``main()``'s code, and
         argparse's own ``SystemExit`` leaves before it, by the normal exit."""
         monkeypatch.setattr(sys, "argv", ["htmr-lab", *argv])

@@ -86,6 +86,12 @@ DOCUMENTS = {
         "audit --pf 0.5 --format json",
         "5d0eb5c7d445e9912a187f7805aea5a1b8f5e7321788697d04e8462ff64ba58f",
     ),
+    # a leaf pattern under faulty voters: pem anchors at the leftmost leaf
+    "scenario_voter_faults": (
+        "simulate --scenario NFF --pf-min 0.1 --pf-max 0.3 --pf-steps 3 --orders 1,2 "
+        "--pfmb pf --trials 20000 --seed 13",
+        "8bd1ad5795e269f68aab52812df5d7f5c929115294d3d4bdf672945cd2bea9c4",
+    ),
 }
 
 

@@ -67,8 +67,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig.single(0.1, scenario="NNF", orders=(0, 1))
         with pytest.raises(ValueError):
-            SweepConfig.single(0.1, scenario="NNF", orders=(1,), pfmb=0.1)
-        with pytest.raises(ValueError):
             SweepConfig.single(0.1, scenario="NNFNNFNNF", orders=(1, 2))
 
     def test_a_pattern_takes_3_to_the_k_letters_up_to_the_lowest_order(self):
@@ -328,8 +326,18 @@ class TestScenarioSuite:
         for orders in ((0,), (0, 1)):
             with pytest.raises(ValueError, match=r"an order-0 tree takes 3\*\*k scenario letters"):
                 scenario_suite(SweepConfig.single(0.2, orders=orders))
-        with pytest.raises(ValueError, match="pfmb must be 0"):
-            scenario_suite(SweepConfig.single(0.2, orders=(1,), pfmb="pf"))
+        # voter faults apply to every scenario, and pem folds its own leaves
+        suite = scenario_suite(SweepConfig(pf_min=0.1, pf_max=0.3, pf_steps=3,
+                                           orders=(1, 2, 3), pfmb="pf"))
+        assert list(suite) == ["NNF", "NFF", "FFF"]
+        for pattern, rows in suite.items():
+            assert len(rows) == 9
+            for row in rows:
+                leaves = make_scenario(pattern, row.pf)
+                assert row.pem == pem_order(row.order, leaves, row.pf)
+                # NNF never errs; the other patterns' voter faults move pem
+                assert (row.pem != row.pe) == (pattern != "NNF")
+                assert row.pe == tree_error_probability(leaves, row.order)
 
 
 class TestFloorPresentation:

@@ -144,6 +144,42 @@ class TestPemOrder:
             for q in (0.0, 0.1, 1.0):
                 assert pem_order(0, p, q) == p
 
+    @pytest.mark.parametrize("pattern,lowest", [
+        ("NNF", 1), ("NFF", 1), ("FFF", 1), ("NFFNNFFFN", 2),
+    ])
+    def test_a_pattern_without_voter_faults_is_the_exact_tree(self, pattern, lowest):
+        # so every scenarios document's pem equals its pe bit for bit
+        for pf in (0.0, 0.1, 0.3, 0.5, 0.999999999, 1.0):
+            leaves = make_scenario(pattern, pf)
+            for j in range(lowest, 7):
+                assert pem_order(j, leaves, 0.0) == tree_error_probability(leaves, j)
+
+    def test_one_rate_is_one_tiled_leaf(self):
+        for j in range(7):
+            for p in (0.0, 0.1, 0.5, 1.0):
+                for q in (0.0, 0.1, p, 1.0):
+                    assert pem_order(j, (p,), q) == pem_order(j, p, q)
+                    assert pem_order(j, np.array([p]), q) == pem_order(j, p, q)
+
+    @pytest.mark.parametrize("leaves", [
+        make_scenario("NNF", 0.3), make_scenario("NFF", 0.2), make_scenario("FNF", 0.7),
+        (0.1, 0.2, 0.3), (0.9, 0.05, 0.0), (1e-6, 0.5, 1.0),
+    ])
+    def test_first_level_of_any_leaves_is_the_exact_tree(self, leaves):
+        for q in (0.0, 1e-4, 0.1, 0.2, 0.5, 1.0):
+            exact = tree_error_probability(leaves, 1, q)
+            assert pem_order(1, leaves, q) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_failed_voters_pass_the_leftmost_leaf(self):
+        leaves = make_scenario("FNFNNFFFN", 0.3)
+        for j in (2, 3, 6):
+            assert pem_order(j, leaves, 1.0) == 0.3 == tree_error_probability(leaves, j, 1.0)
+        assert pem_order(2, make_scenario("NFF", 0.3), 1.0) == 0.0
+
+    def test_leaves_must_fit_the_order(self):
+        with pytest.raises(ValueError, match=r"3\*\*k leaf error rates"):
+            pem_order(1, make_scenario("NFFNNFFFN", 0.1), 0.1)
+
 
 class TestReductionRate:
     def test_equal_rates_give_zero(self):

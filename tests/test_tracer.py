@@ -23,7 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv", [
     ["simulate", "--pf", "0.1", "--order", "2", "--trials", "1000"],
     ["scenarios", "--pf", "0.2", "--orders", "1,2", "--trials", "1000"],
-], ids=lambda argv: argv[0])
+    # harness.pem_order, wrapped by name, over a pattern with voter faults
+    ["simulate", "--scenario", "NFF", "--pf", "0.2", "--pfmb", "pf", "--orders", "1,2",
+     "--trials", "1000"],
+], ids=["simulate", "scenarios", "scenario_voter_faults"])
 def test_traced_run_matches_plain_cli(capsys, argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
