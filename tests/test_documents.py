@@ -92,6 +92,19 @@ DOCUMENTS = {
         "--pfmb pf --trials 20000 --seed 13",
         "8bd1ad5795e269f68aab52812df5d7f5c929115294d3d4bdf672945cd2bea9c4",
     ),
+    # requested orders that skip levels, and deep orders near underflow:
+    # pe at order 5 and 16 reads 0 while pem does not
+    "analytic_skipped_deep_orders": (
+        "analytic --pf-min 1e-40 --pf-max 0.6 --pf-steps 9 --pf-scale log "
+        "--orders 0,2,5,16 --pfmb 0.05",
+        "e771b583e09e254e05c1b728d3def195d6f25eebcb270752cdc8987e0ae01e18",
+    ),
+    # a nine-letter pattern under faulty voters, at orders that skip level 3
+    "pattern9_voter_faults": (
+        "simulate --scenario NFFNNFFFN --pf-min 0.1 --pf-max 0.5 --pf-steps 3 "
+        "--orders 2,4 --pfmb pf --trials 20000 --seed 17",
+        "d42fea8f51ced0ee2781bd84beedddb2c9a01186271053dd685ce6faa8326f9a",
+    ),
 }
 
 
