@@ -15,14 +15,16 @@ network of the highest requested order. Every lower order's row is read
 off the same trials, from the leftmost subtree of that order, so the rows
 of one point share their trials (common random numbers). Points are
 independent work units and may be evaluated in any order or in parallel
-without changing the results.
+without changing the results. The analytic columns are read off one
+exact walk of the top order per point (``subtree_error_probabilities``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Union
+from itertools import accumulate
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -37,15 +39,14 @@ from .network import block_trials, build_network, run_trials
 from .reliability import (
     check_leaves,
     check_order,
-    pem_order,
     reduction_rate,
-    tree_error_probability,
+    subtree_error_probabilities,
 )
 # perfbench/tracer.py wraps these by name in this module, as it wraps
 # build_network and run_trials; they stay bound here until the benchmark
 # stops looking them up.
 from .network import tile_scenario  # noqa: F401
-from .reliability import pe_first, pe_order, scenario_error_probability  # noqa: F401
+from .reliability import pe_first, pe_order, pem_order, scenario_error_probability  # noqa: F401
 
 __all__ = [
     "SweepConfig",
@@ -65,7 +66,7 @@ class SweepConfig:
     ``trials`` = 0 requests analytic columns only. ``scenario`` is an
     N/F leaf pattern (see ``make_scenario``) tiled across the tree: 3**k
     letters, k <= the lowest order, with or without voter faults; ``pem``
-    then anchors at its leftmost leaf and reads the evaluator (``pem_order``). The
+    then anchors at its leftmost leaf, as in ``pem_order``. The
     checked values are stored: ``orders`` as ints, rates as floats, -0.0
     as 0.0, and a pattern in its shortest form, the shortest prefix that
     tiles to it (``NNFNNFNNF`` as ``NNF``, ``FFF`` as ``F``), so one tree
@@ -173,30 +174,33 @@ class ComparisonRow(NamedTuple):
     trials: Optional[int] = None
 
 
-def _analytic_row(cfg: SweepConfig, pf: float, order: int) -> ComparisonRow:
-    """``pe`` and ``pem`` over ``cfg.leaves_at(pf)``, also a pattern's under voter
-    faults; ``pem`` anchors at the leftmost leaf and reads the evaluator."""
-    leaves = cfg.leaves_at(pf)
-    pe = tree_error_probability(leaves, order)
-    pem = pem_order(order, leaves, cfg.pfmb_at(pf))
-    if pf == 0.0:
-        re = rem = re_per_module = None
-    else:
-        re = reduction_rate(pf, pe)
-        rem = reduction_rate(pf, pem)
-        re_per_module = re / (3 ** order)
-    return ComparisonRow(
-        pf=pf, order=order, pe=pe, pem=pem, re=re, rem=rem, re_per_module=re_per_module
-    )
+def _point_rows(cfg: SweepConfig, pf: float, estimate=None) -> Iterator[ComparisonRow]:
+    """Every requested order's row at ``pf``, from one fault-free walk of the
+    top order; ``pem`` folds its levels as ``pem_order`` does. The empirical
+    columns of order k, given an ``EmpiricalEstimate``, read its ``subtree(k)``."""
+    q = cfg.pfmb_at(pf)
+    pes = subtree_error_probabilities(cfg.leaves_at(pf), cfg.orders[-1])
+    pems = list(accumulate(pes, lambda pem, pe: pem * q + pe * (1.0 - q)))
+    for order in cfg.orders:
+        pe, pem = pes[order], pems[order]
+        if pf == 0.0:
+            re = rem = re_per_module = None
+        else:
+            re = reduction_rate(pf, pe)
+            rem = reduction_rate(pf, pem)
+            re_per_module = re / (3 ** order)
+        row = ComparisonRow(
+            pf=pf, order=order, pe=pe, pem=pem, re=re, rem=rem, re_per_module=re_per_module
+        )
+        if estimate is not None:
+            sub = estimate.subtree(order)
+            row = row._replace(pe_hat=sub.pe_hat, std_err=sub.std_err, trials=sub.trials)
+        yield row
 
 
 def sweep_analytic(cfg: SweepConfig) -> list[ComparisonRow]:
     """Closed-form error probabilities and reduction rates over the grid."""
-    return [
-        _analytic_row(cfg, pf, order)
-        for pf in cfg.pf_values()
-        for order in cfg.orders
-    ]
+    return [row for pf in cfg.pf_values() for row in _point_rows(cfg, pf)]
 
 
 def _empirical_rows(cfg: SweepConfig, master: RandomSource) -> list[ComparisonRow]:
@@ -217,11 +221,7 @@ def _empirical_rows(cfg: SweepConfig, master: RandomSource) -> list[ComparisonRo
             net, cfg.trials, master.derive(i, top), workers=cfg.workers,
             block_size=block_trials(net),
         )
-        for order in cfg.orders:
-            sub = estimate.subtree(order)
-            rows.append(_analytic_row(cfg, pf, order)._replace(
-                pe_hat=sub.pe_hat, std_err=sub.std_err, trials=sub.trials,
-            ))
+        rows.extend(_point_rows(cfg, pf, estimate))
     return rows
 
 
@@ -243,7 +243,7 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
 
     Every scenario is tiled across each requested order (the same pattern
     on every bottom triple), with ``cfg``'s voter faults; ``pem`` anchors at
-    its leftmost leaf and reads the evaluator (``pem_order``). With
+    its leftmost leaf, as in ``pem_order``. With
     ``trials`` = 0 the rows are analytic only. Otherwise scenario ``s`` at
     point ``i`` runs one network, of the highest requested order ``top``,
     on the stream

@@ -7,11 +7,12 @@ The central quantity is the two-of-three failure polynomial
 the probability that at least two of three independent modules, each
 erring with probability ``p`` on a given operation, err simultaneously so
 the majority vote is wrong. Nesting voters hierarchically composes this
-polynomial with itself (``pe_order``). ``tree_error_probability`` is the
-one exact evaluator: it works a voter tree bottom-up from its leaf error
-rates, with or without voter faults, and ``pe_order``, ``pem_first`` and
-``scenario_error_probability`` are calls to it. ``pem_order``, the paper's
-own voter-fault recursion, reads it too: a different model from order 2 on.
+polynomial with itself (``pe_order``). ``subtree_error_probabilities`` is
+the one exact evaluator: one bottom-up walk of a voter tree from its leaf
+rates, with or without voter faults, gives the leftmost subtree of every
+order. Every other model reads it, ``tree_error_probability`` as its root;
+``pem_order``, the paper's voter-fault recursion, folds its levels: a
+different model from order 2 on.
 Reduction rates are expressed in decades (log base 10).
 
 Probabilities are plain floats validated to lie in [0, 1]; out-of-range
@@ -34,6 +35,7 @@ __all__ = [
     "check_leaves",
     "pe_first",
     "voter",
+    "subtree_error_probabilities",
     "tree_error_probability",
     "pem_first",
     "pe_order",
@@ -116,6 +118,29 @@ def _voter_error(q: float, pa: float, pb: float, pc: float) -> float:
     return min(total, 1.0)
 
 
+def subtree_error_probabilities(
+    leaves: Sequence[float], order: int, voter_fault_rate: float = 0.0
+) -> tuple[float, ...]:
+    """Exact error of the leftmost order-k subtree, k = 0..``order``, in one walk.
+
+    The exact counterpart of ``EmpiricalEstimate.subtree_errors``: entry k
+    is the first node of level k of the tree that ``tree_error_probability``
+    evaluates (entry 0 the leftmost leaf, the last entry the root), worked
+    bottom-up once in O(3**k + ``order``) steps for 3**k leaves.
+    """
+    order = check_order("order", order)
+    q = check_probability("voter_fault_rate", voter_fault_rate)
+    level = list(check_leaves("leaf error rates", leaves, order))
+    firsts = [level[0]]
+    for _ in range(order):
+        if len(level) == 1:
+            # the leaves are tiled, so one value stands for its whole level
+            level *= 3
+        level = [_voter_error(q, *level[i:i + 3]) for i in range(0, len(level), 3)]
+        firsts.append(level[0])
+    return tuple(firsts)
+
+
 def tree_error_probability(
     leaves: Sequence[float], order: int, voter_fault_rate: float = 0.0
 ) -> float:
@@ -130,18 +155,10 @@ def tree_error_probability(
     children erring at p_a, p_b, p_c errs with the sum of ``voter``'s output
     over its 16 input cases, each weighted by its four probabilities. A
     voter whose three children err equally at p takes q*p + (1 - q) *
-    ``pe_first(p)`` instead. The tree is worked bottom-up in O(3**k + order)
-    steps.
+    ``pe_first(p)`` instead. This is the root, the last entry of
+    ``subtree_error_probabilities``.
     """
-    order = check_order("order", order)
-    q = check_probability("voter_fault_rate", voter_fault_rate)
-    level = list(check_leaves("leaf error rates", leaves, order))
-    for _ in range(order):
-        if len(level) == 1:
-            # the leaves are tiled, so one value stands for its whole level
-            level *= 3
-        level = [_voter_error(q, *level[i:i + 3]) for i in range(0, len(level), 3)]
-    return level[0]
+    return subtree_error_probabilities(leaves, order, voter_fault_rate)[-1]
 
 
 def pem_first(pf: float, pfmb: float) -> float:
@@ -160,22 +177,20 @@ def pem_order(j: int, leaves: Union[float, Sequence[float]], pfmb: float) -> flo
 
     pem_j = pem_{j-1} * pfmb + pe_j * (1 - pfmb), anchored at the leftmost
     leaf, pem_0 = ``leaves[0]``: a failed top voter exposes its leftmost
-    subtree, a working one sees the fault-free tree, whose pe_j over the
-    leftmost 3**j leaves is read off ``tree_error_probability``. So one rate
-    or any 3**k rates (a leaf pattern) take voter faults. Level 1 is exact,
+    subtree, a working one sees the fault-free tree, whose pe_1..pe_j come
+    from one walk (``subtree_error_probabilities``). So one rate or any
+    3**k rates (a leaf pattern) take voter faults. Level 1 is exact,
     and with ``pfmb`` = 0 this equals ``tree_error_probability(leaves, j)``
     bit for bit. From order 2 on it is a different model from a tree whose
     voters all fail at ``pfmb``, which the evaluator and the simulator
     share: at pf = pfmb = 0.1 order 2 gives 0.005597 here against 0.006787.
     """
     j = check_order("j", j)
-    leaves = check_leaves(
-        "leaf error rates", (leaves,) if np.ndim(leaves) == 0 else leaves, j
-    )
+    pes = subtree_error_probabilities((leaves,) if np.ndim(leaves) == 0 else leaves, j)
     q = check_probability("pfmb", pfmb)
-    pem = leaves[0]
-    for k in range(1, j + 1):
-        pem = pem * q + tree_error_probability(leaves[:3 ** k], k) * (1.0 - q)
+    pem = pes[0]
+    for pe in pes[1:]:
+        pem = pem * q + pe * (1.0 - q)
     return pem
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .faults import check_probability
-from .reliability import check_order, operations_per_error, pe_order
+from .reliability import check_order, operations_per_error, pe_order, subtree_error_probabilities
 
 __all__ = [
     "Table3Row",
@@ -69,7 +69,7 @@ def table3_report() -> tuple[Table3Row, ...]:
     """Operations-per-error at the reference rates for orders 0, 1, 2."""
     rows = []
     for pf in TABLE3_RATES:
-        ops = tuple(operations_per_error(pe_order(j, pf)) for j in (0, 1, 2))
+        ops = tuple(operations_per_error(pe) for pe in subtree_error_probabilities((pf,), 2))
         rows.append(
             Table3Row(
                 pf=pf,
@@ -108,7 +108,7 @@ def proposition_check(pf: float, j_max: int) -> PropositionReport:
     if j_max < 2:
         raise ValueError("proposition_check needs j_max >= 2 to compare levels")
     p = check_probability("pf", pf)
-    entries = [(j, pe_order(j, p)) for j in range(1, j_max + 1)]
+    entries = list(enumerate(subtree_error_probabilities((p,), j_max)))[1:]
     comparisons = tuple(
         (j, None if earlier == 0.0 and p > 0.0 else pe < earlier)
         for (_, earlier), (j, pe) in zip(entries, entries[1:])

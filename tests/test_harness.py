@@ -1,11 +1,12 @@
 """Sweeps, reference tables, and claim checks."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from htmr_lab import harness, network
-from htmr_lab.faults import RandomSource, make_scenario
+from htmr_lab import harness, network, reports
+from htmr_lab.faults import SCENARIO_PATTERNS, RandomSource, make_scenario
 from htmr_lab.harness import SweepConfig, scenario_suite, sweep_analytic, sweep_monte_carlo
 from htmr_lab.reliability import (
     pe_first,
@@ -18,6 +19,7 @@ from htmr_lab.reports import (
     TABLE3_RATES,
     floor_to_sig_figs,
     present_operations,
+    proposition_check,
     table3_report,
 )
 
@@ -266,6 +268,50 @@ class TestOneTreePerPoint:
             assert abs(z) <= 5.0, (row.pf, row.order, z)
             chi2[row.order] += z * z
         assert all(total < 67.15 for total in chi2.values()), chi2
+
+
+class TestOneWalkPerPoint:
+    """Every order's exact ``pe`` and ``pem`` at a point come from one walk of the top order."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Log the (leaves, order) of every ``subtree_error_probabilities`` call."""
+        calls = []
+        walk = harness.subtree_error_probabilities
+
+        def counted(leaves, order, *args, **kwargs):
+            calls.append((tuple(leaves), order))
+            return walk(leaves, order, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "subtree_error_probabilities", counted)
+        monkeypatch.setattr(reports, "subtree_error_probabilities", counted)
+        return calls
+
+    @pytest.mark.parametrize("trials", [0, 500])
+    def test_a_sweep_walks_once_per_point(self, walks, trials):
+        cfg = SweepConfig(pf_min=0.0, pf_max=1.0, pf_steps=7, orders=(0, 2, 3, 5),
+                          pfmb="pf", trials=trials)
+        rows = (sweep_monte_carlo if trials else sweep_analytic)(cfg)
+        assert walks == [((pf,), 5) for pf in cfg.pf_values()]
+        for row in rows:
+            assert row.pem == pem_order(row.order, row.pf, row.pf)
+
+    @pytest.mark.parametrize("trials", [0, 500])
+    def test_the_suite_walks_once_per_pattern_and_point(self, walks, trials):
+        cfg = SweepConfig(pf_min=0.1, pf_max=0.5, pf_steps=3, orders=(1, 3), trials=trials)
+        scenario_suite(cfg)
+        assert walks == [
+            (replace(cfg, scenario=pattern).leaves_at(pf), 3)
+            for pattern in SCENARIO_PATTERNS for pf in cfg.pf_values()
+        ]
+
+    def test_the_proposition_walks_once(self, walks):
+        proposition_check(0.3, 16)
+        assert walks == [((0.3,), 16)]
+
+    def test_table3_walks_once_per_rate(self, walks):
+        table3_report()
+        assert walks == [((pf,), 2) for pf in TABLE3_RATES]
 
 
 class TestScenarioSuite:

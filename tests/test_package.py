@@ -27,7 +27,7 @@ PUBLIC = {
     "reliability": (
         "MAX_ORDER", "operations_per_error", "pe_first", "pe_order", "pem_first",
         "pem_order", "reduction_rate", "scenario_error_probability",
-        "tree_error_probability",
+        "subtree_error_probabilities", "tree_error_probability",
     ),
     "reports": (
         "CLAIMED_ORDER2_EXPANSION", "EXACT_ORDER2_EXPANSION", "ExpansionAudit",

@@ -23,6 +23,7 @@ from htmr_lab.reliability import (
     pem_order,
     reduction_rate,
     scenario_error_probability,
+    subtree_error_probabilities,
     tree_error_probability,
     voter,
 )
@@ -395,6 +396,58 @@ class TestTreeErrorProbability:
         for bad in (-1, MAX_ORDER + 1, 1.5, math.nan, math.inf, "2"):
             with pytest.raises(ValueError, match="order must"):
                 tree_error_probability([0.1], bad)
+
+
+def seeded_patterns(seed: int, count: int) -> list[tuple[float, ...]]:
+    """``count`` seeded random 3- and 9-letter N/F patterns at random rates."""
+    rng = np.random.default_rng(seed)
+    return [
+        make_scenario("".join(rng.choice(["N", "F"], size=rng.choice([3, 9]))), rng.random())
+        for _ in range(count)
+    ]
+
+
+class TestSubtreeErrorProbabilities:
+    """One walk gives the exact tree of every leftmost subtree."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entry_k_is_the_leftmost_order_k_tree(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        cases = [seeded_leaves(seed, k) for k in (1, 2)] + seeded_patterns(seed, 8)
+        for leaves in cases:
+            lowest = round(math.log(len(leaves), 3))
+            for q in (0.0, float(rng.random())):
+                for order in (lowest, lowest + 1, 6):
+                    walk = subtree_error_probabilities(leaves, order, q)
+                    assert len(walk) == order + 1
+                    for k, pe in enumerate(walk):
+                        # the leftmost 3**k leaves, or the whole pattern
+                        # where that is shorter
+                        assert pe == tree_error_probability(leaves[:3 ** k], k, q), (k, q)
+
+    @pytest.mark.parametrize("leaves", [
+        (0.1,), (0.0,), (1.0,), MIXED_LEAVES[:3], MIXED_LEAVES, seeded_leaves(7, 2),
+        make_scenario("NFF", 0.3), make_scenario("FNFNNFFFN", 0.2),
+    ])
+    def test_ends_are_the_leftmost_leaf_and_the_root(self, leaves):
+        for q in (0.0, 0.1, 1.0):
+            for order in (2, 3, MAX_ORDER):
+                walk = subtree_error_probabilities(leaves, order, q)
+                assert walk[0] == leaves[0]
+                assert walk[-1] == tree_error_probability(leaves, order, q)
+
+    def test_uniform_leaves_give_every_order(self):
+        for p in (0.0, 0.1, 0.3, 0.5, 1.0):
+            assert subtree_error_probabilities((p,), 6) == tuple(
+                pe_order(k, p) for k in range(7)
+            )
+            assert subtree_error_probabilities((p,), 0) == (p,)
+
+    def test_rejects_what_the_tree_rejects(self):
+        with pytest.raises(ValueError, match=r"3\*\*k leaf error rates"):
+            subtree_error_probabilities([0.1] * 9, 1)
+        with pytest.raises(ValueError, match="order must"):
+            subtree_error_probabilities([0.1], MAX_ORDER + 1)
 
 
 class TestPropositionCheck:

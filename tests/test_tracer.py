@@ -23,7 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv", [
     ["simulate", "--pf", "0.1", "--order", "2", "--trials", "1000"],
     ["scenarios", "--pf", "0.2", "--orders", "1,2", "--trials", "1000"],
-    # harness.pem_order, wrapped by name, over a pattern with voter faults
+    # a pattern with voter faults; harness.pem_order stays wrapped by name,
+    # though the sweep no longer calls it (pem is folded from one walk)
     ["simulate", "--scenario", "NFF", "--pf", "0.2", "--pfmb", "pf", "--orders", "1,2",
      "--trials", "1000"],
 ], ids=["simulate", "scenarios", "scenario_voter_faults"])

@@ -18,6 +18,7 @@ from htmr_lab.reliability import (
     pem_order,
     reduction_rate,
     scenario_error_probability,
+    subtree_error_probabilities,
     tree_error_probability,
 )
 from htmr_lab.reports import expansion_audit, proposition_check
@@ -62,6 +63,10 @@ PROBABILITY_ENTRIES = {
     "check_leaves": lambda p, rng: check_leaves("leaf error rates", [p], 0),
     "tree_error_probability/voter_fault_rate":
         lambda p, rng: tree_error_probability([0.1], 2, voter_fault_rate=p),
+    "subtree_error_probabilities/leaves":
+        lambda p, rng: subtree_error_probabilities([0.1, p, 0.2], 2),
+    "subtree_error_probabilities/voter_fault_rate":
+        lambda p, rng: subtree_error_probabilities([0.1], 2, voter_fault_rate=p),
     "proposition_check": lambda p, rng: proposition_check(p, 3),
     "expansion_audit": lambda p, rng: expansion_audit([0.1, p]),
     "build_network/leaves": lambda p, rng: build_network(1, p),
