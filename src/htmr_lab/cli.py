@@ -31,8 +31,10 @@ the cap or needs more memory than can be allocated), 1 internal error.
 
 The fixed reports, the voter classes and ``json`` are imported by the
 commands that use them, when they run, so a CSV ``simulate`` loads none.
-Importing this module starts numpy without OpenBLAS's thread pool, unless
-``OPENBLAS_NUM_THREADS`` is already set: no command calls a BLAS routine.
+numpy loads at the first trial drawn, or when a log grid is built, so the
+commands that draw nothing never load it. It starts without OpenBLAS's
+thread pool, unless ``OPENBLAS_NUM_THREADS`` is already set: no command
+calls a BLAS routine.
 
 ``run()``, the process entry point, is ``os._exit(main())``, which skips
 the interpreter's teardown and loses nothing: ``_emit`` flushes stdout,
@@ -48,8 +50,8 @@ import os
 import sys
 from typing import NamedTuple, NoReturn
 
-# before .harness imports numpy: no command calls a BLAS routine (linalg,
-# dot, matmul), so OpenBLAS's pool thread would only cost start-up time
+# before numpy loads at the first draw: no command calls a BLAS routine
+# (linalg, dot, matmul), so OpenBLAS's pool thread would only cost time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__  # noqa: E402

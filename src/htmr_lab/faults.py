@@ -13,7 +13,8 @@ workers. Besides uniform draws it fills packed rows of 64-trial ``uint64``
 words with independent fault bits at one rate (``bernoulli_lanes``): most
 of a rate's bits are drawn a word at a time, and a small residual is drawn
 by Poisson splitting, at a cost that grows with the number of faults rather
-than with the number of bits.
+than with the number of bits. numpy loads with the first ``RandomSource``,
+so the checks and scenarios here run without it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-
-import numpy as np
 
 __all__ = [
     "check_integer",
@@ -94,6 +93,8 @@ class RandomSource:
         if self._seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         self._path = tuple(check_integer("path index", i) for i in path)
+        import numpy as np
+
         sequence = np.random.SeedSequence(self._seed, spawn_key=self._path)
         self._gen = np.random.Generator(np.random.PCG64(sequence))
 
@@ -159,6 +160,8 @@ class RandomSource:
         inverted. Below rate 1/32 (a = 0) the draw is ``_bernoulli`` at r
         alone, and at rate 1/2 it is one raw word per 64 lanes.
         """
+        import numpy as np
+
         rate = check_probability("rate", rate)
         flip = rate > 0.5
         r = 1.0 - rate if flip else rate

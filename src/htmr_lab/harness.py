@@ -26,8 +26,6 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional, Union
 
-import numpy as np
-
 from .faults import (
     SCENARIO_PATTERNS,
     RandomSource,
@@ -85,8 +83,10 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("pf_steps", "trials", "workers"):
+        for name in ("pf_steps", "trials", "seed", "workers"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pf_steps < 1:
             raise ValueError(f"pf_steps must be >= 1, got {self.pf_steps}")
         if self.pf_steps == 1:
@@ -137,11 +137,16 @@ class SweepConfig:
         if self.pf_steps == 1:
             return (self.pf_min,)
         if self.pf_scale == "lin":
-            grid = np.linspace(self.pf_min, self.pf_max, self.pf_steps)
-        else:
-            grid = np.logspace(
-                math.log10(self.pf_min), math.log10(self.pf_max), self.pf_steps
-            )
+            # np.linspace's own arithmetic, so the grid is the same to the bit
+            div, delta = self.pf_steps - 1, self.pf_max - self.pf_min
+            step = delta / div
+            return tuple(
+                (i / div * delta if step == 0.0 else i * step) + self.pf_min
+                for i in range(div)
+            ) + (self.pf_max,)
+        import numpy as np
+
+        grid = np.logspace(math.log10(self.pf_min), math.log10(self.pf_max), self.pf_steps)
         return tuple(float(p) for p in grid)
 
     def pfmb_at(self, pf: float) -> float:
@@ -252,13 +257,12 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
     """
     if cfg.scenario is not None:
         raise ValueError("scenario_suite runs all scenarios; leave cfg.scenario unset")
-    master = RandomSource(cfg.seed)
     suite: dict[str, list[ComparisonRow]] = {}
     for s, pattern in enumerate(SCENARIO_PATTERNS):
         # SweepConfig enforces the scenario rule (the pattern fits)
         sub = replace(cfg, scenario=pattern)
         if cfg.trials >= 1:
-            suite[pattern] = _empirical_rows(sub, master.derive(s))
+            suite[pattern] = _empirical_rows(sub, RandomSource(cfg.seed).derive(s))
         else:
             suite[pattern] = sweep_analytic(sub)
     return suite

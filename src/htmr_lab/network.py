@@ -82,6 +82,9 @@ by the caller.
 Lane layout: each row is padded to whole words, and the sampler clears
 the padding lanes of every row, so they never err or alarm. Every level
 votes on words, and the alarm and error counts are popcounts.
+
+numpy loads with the first trial drawn: building and checking a network
+and ``simulate_bit`` run without it.
 """
 
 from __future__ import annotations
@@ -93,10 +96,8 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import numpy as np
-
 from .faults import SCRATCH_CELLS, RandomSource, check_integer, check_probability
-from .reliability import check_leaves, check_order, voter
+from .reliability import check_leaves, check_order, is_one_rate, voter
 
 __all__ = [
     "HtmrNetwork",
@@ -165,7 +166,7 @@ def build_network(
     ``leaves`` is one error rate for every leaf, or 3**k rates, k <=
     ``order``, tiled across the tree.
     """
-    leaves = (leaves,) if np.ndim(leaves) == 0 else tuple(leaves)
+    leaves = (leaves,) if is_one_rate(leaves) else tuple(leaves)
     return HtmrNetwork(order=order, leaves=leaves, voter_fault_rate=voter_fault_rate)
 
 
@@ -279,6 +280,8 @@ def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):
     the first node of every level, leaves first (the root of the leftmost
     order-k subtree at level k), and every voter's alarm count.
     """
+    import numpy as np
+
     col = int(np.count_nonzero(drawn))
     if col == net.leaf_count:
         x = lanes[:col]
@@ -378,6 +381,8 @@ def _block_buffers(runs: list[tuple[int, int, float]], m: int):
     reuses the pages it has touched. Where a buffer cannot grow, the
     ``MemoryError`` names the bytes one block needs.
     """
+    import numpy as np
+
     words = (runs[-1][1] if runs else 0) * -(-m // 64)
     rows = getattr(_workspace, "rows", None)
     scratch = getattr(_workspace, "cells", None)
@@ -472,6 +477,8 @@ def run_trials(
     workers = check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+
+    import numpy as np
 
     runs = _draw_runs(net)
     drawn = np.array(tile_scenario(net.leaves, net.order)) > 0.0

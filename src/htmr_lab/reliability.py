@@ -25,14 +25,13 @@ import itertools
 import math
 from typing import Sequence, Union
 
-import numpy as np
-
 from .faults import check_integer, check_probability, make_scenario
 
 __all__ = [
     "MAX_ORDER",
     "check_order",
     "check_leaves",
+    "is_one_rate",
     "pe_first",
     "voter",
     "subtree_error_probabilities",
@@ -76,6 +75,14 @@ def check_leaves(name: str, leaves: Sequence[float], order: int) -> tuple[float,
             f"k <= {order}, got {len(rates)}"
         )
     return next(rates[:i] for i in sizes if rates[:i] * (len(rates) // i) == rates)
+
+
+def is_one_rate(leaves) -> bool:
+    """Whether ``leaves`` is one rate, not a sequence of them: ``np.ndim(leaves) == 0``."""
+    ndim = getattr(leaves, "ndim", None)
+    if ndim is not None:
+        return ndim == 0
+    return isinstance(leaves, (str, bytes)) or not isinstance(leaves, Sequence)
 
 
 def pe_first(pf: float) -> float:
@@ -186,7 +193,7 @@ def pem_order(j: int, leaves: Union[float, Sequence[float]], pfmb: float) -> flo
     share: at pf = pfmb = 0.1 order 2 gives 0.005597 here against 0.006787.
     """
     j = check_order("j", j)
-    pes = subtree_error_probabilities((leaves,) if np.ndim(leaves) == 0 else leaves, j)
+    pes = subtree_error_probabilities((leaves,) if is_one_rate(leaves) else leaves, j)
     q = check_probability("pfmb", pfmb)
     pem = pes[0]
     for pe in pes[1:]:

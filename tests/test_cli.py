@@ -329,7 +329,7 @@ class TestSimulate:
                 raise MemoryError("cannot allocate")
             return empty(shape, dtype)
 
-        monkeypatch.setattr(network.np, "empty", bounded_empty)
+        monkeypatch.setattr(np, "empty", bounded_empty)
         code, out, err = run_cli(
             capsys, "simulate", "--pf", "0.1", "--pfmb", "pf", "--order", "12",
             "--trials", "65536",
@@ -382,11 +382,11 @@ class TestFlagParsing:
         assert " orders=1,2 " in odd.splitlines()[0]
         assert odd == canonical
 
-    @pytest.mark.parametrize("command", ["simulate", "scenarios"])
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--trials", "10"), ("scenarios", "--trials", "10"), ("scenarios",),
+    ], ids=["simulate", "scenarios", "scenarios-analytic"])
     def test_negative_seed_exits_2_naming_the_seed(self, capsys, command):
-        code, out, err = run_cli(
-            capsys, command, "--pf", "0.1", "--trials", "10", "--seed", "-1"
-        )
+        code, out, err = run_cli(capsys, *command, "--pf", "0.1", "--seed", "-1")
         assert code == 2
         assert out == ""
         assert "seed must be >= 0, got -1" in err
@@ -843,10 +843,10 @@ def test_sweep_rows_are_tuples_in_column_order():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
 class TestBlasPool:
-    """Importing the CLI starts numpy without OpenBLAS's thread pool."""
+    """numpy, loaded after the CLI, starts without OpenBLAS's thread pool."""
 
     PROBE = (
-        "import os, htmr_lab.cli; "
+        "import os, htmr_lab.cli, numpy; "
         "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
 

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from htmr_lab import harness, network, reports
@@ -31,6 +32,43 @@ class TestSweepConfig:
         assert len(values) == 21
         assert values[0] == 0.0 and values[-1] == 1.0
         assert values[10] == pytest.approx(0.5)
+
+    @staticmethod
+    def assert_linspace(pf_min, pf_max, steps):
+        grid = SweepConfig(pf_min=pf_min, pf_max=pf_max, pf_steps=steps).pf_values()
+        expected = np.linspace(pf_min, pf_max, steps)
+        assert [p.hex() for p in grid] == [float(p).hex() for p in expected]
+
+    def test_a_linear_grid_is_np_linspace_to_the_bit(self):
+        rng = np.random.default_rng(31)
+        grids = 0
+        while grids < 3_000:
+            # endpoints spread over [0, 1] or over decades down to the subnormals
+            ends = rng.random(2) if rng.random() < 0.5 else 10.0 ** rng.uniform(-323, 0, 2)
+            if rng.random() < 0.1:
+                ends[0] = 0.0
+            lo, hi = sorted(map(float, ends))
+            if lo < hi:
+                self.assert_linspace(lo, hi, int(rng.integers(2, 400)))
+                grids += 1
+
+    @pytest.mark.parametrize("pf_min,pf_max", [
+        (0.0, 1.0), (0.1, 0.3), (0.0, 5e-324), (1e-300, 1e-299), (0.999, 1.0),
+    ])
+    def test_a_two_point_grid_is_its_ends(self, pf_min, pf_max):
+        self.assert_linspace(pf_min, pf_max, 2)
+        assert SweepConfig(pf_min=pf_min, pf_max=pf_max, pf_steps=2).pf_values() == (
+            pf_min, pf_max
+        )
+
+    @pytest.mark.parametrize("pf_min,pf_max,steps", [
+        (0.0, 5e-324, 3), (0.0, 2e-322, 100), (5e-324, 1e-322, 50), (0.0, 1e-321, 1000),
+    ])
+    def test_a_subnormal_span_whose_step_rounds_to_zero_is_np_linspace(
+        self, pf_min, pf_max, steps
+    ):
+        assert (pf_max - pf_min) / (steps - 1) == 0.0
+        self.assert_linspace(pf_min, pf_max, steps)
 
     def test_log_grid_values(self):
         cfg = SweepConfig(pf_min=1e-6, pf_max=1e-2, pf_steps=5, pf_scale="log")

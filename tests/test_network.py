@@ -528,7 +528,7 @@ class TestWorkspace:
                 allocations.append(np.dtype(dtype))
             return empty(shape, dtype)
 
-        monkeypatch.setattr(network.np, "empty", counted_empty)
+        monkeypatch.setattr(np, "empty", counted_empty)
         cfg = SweepConfig(pf_min=0.0, pf_max=1.0, pf_steps=21, orders=(0, 1, 2), trials=3_000)
         rows = sweep_monte_carlo(cfg)
         assert len(rows) == 63

@@ -1,4 +1,5 @@
-"""The package namespace resolves on first use, and a command loads only its own code."""
+"""The package namespace resolves on first use, and a command loads only its own code:
+numpy only where a trial is drawn or a log grid is built."""
 
 import ast
 import importlib
@@ -48,11 +49,14 @@ PROBE = f"""
 import sys
 import htmr_lab.cli
 code = htmr_lab.cli.main(sys.argv[1:])
-print(sorted(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr)
+watched = sorted(m for m in {WATCHED!r} if m in sys.modules)
+print((watched, "numpy" in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
 SIMULATE = ("simulate", "--pf", "0.1", "--order", "2", "--trials", "1000")
+LINEAR = ("analytic", "--pf-min", "0", "--pf-max", "1", "--pf-steps", "11")
+LOG = ("analytic", "--pf-min", "1e-6", "--pf-max", "1e-2", "--pf-steps", "5", "--pf-scale", "log")
 
 
 @pytest.mark.parametrize("module,name", [
@@ -80,19 +84,37 @@ def test_from_import_still_returns_a_submodule():
     assert network is importlib.import_module("htmr_lab.network")
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    (SIMULATE, []),
-    ((*SIMULATE, "--format", "json"), ["json"]),
-    (("truth-table",), ["htmr_lab.voting"]),
-    (("table3",), ["htmr_lab.reports"]),
-    (("proposition", "--pf", "0.1"), ["htmr_lab.reports"]),
-    (("audit", "--pf", "0.1"), ["htmr_lab.reports"]),
-], ids=["simulate", "simulate-json", "truth-table", "table3", "proposition", "audit"])
-def test_a_command_loads_only_its_own_code(argv, loaded):
+def probe(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+    return subprocess.run(
+        [sys.executable, "-c", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_importing_the_cli_loads_no_numpy():
+    proc = probe("import sys, htmr_lab.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert ast.literal_eval(proc.stderr.splitlines()[-1]) == loaded
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("argv,loaded,numpy", [
+    (SIMULATE, [], True),
+    ((*SIMULATE, "--format", "json"), ["json"], True),
+    (("truth-table",), ["htmr_lab.voting"], False),
+    (("table3",), ["htmr_lab.reports"], False),
+    (("proposition", "--pf", "0.1"), ["htmr_lab.reports"], False),
+    (("audit", "--pf", "0.1"), ["htmr_lab.reports"], False),
+    (LINEAR, [], False),
+    ((*LINEAR, "--pfmb", "pf"), [], False),
+    (LOG, [], True),
+    (("scenarios", "--pf", "0.1"), [], False),
+    (("scenarios", "--pf", "0.1", "--trials", "1000"), [], True),
+], ids=[
+    "simulate", "simulate-json", "truth-table", "table3", "proposition", "audit",
+    "analytic", "analytic-pfmb", "analytic-log", "scenarios", "scenarios-trials",
+])
+def test_a_command_loads_only_its_own_code(argv, loaded, numpy):
+    proc = probe(PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stderr.splitlines()[-1]) == (loaded, numpy)

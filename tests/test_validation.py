@@ -11,6 +11,7 @@ from htmr_lab.harness import SweepConfig
 from htmr_lab.network import build_network, run_trials, simulate_bit
 from htmr_lab.reliability import (
     check_leaves,
+    is_one_rate,
     operations_per_error,
     pe_first,
     pe_order,
@@ -80,6 +81,7 @@ INTEGER_ENTRIES = {
     "SweepConfig/pf_steps": lambda k, rng: SweepConfig(pf_min=0.0, pf_max=1.0, pf_steps=k),
     "SweepConfig/trials": lambda k, rng: SweepConfig.single(0.1, trials=k),
     "SweepConfig/workers": lambda k, rng: SweepConfig.single(0.1, workers=k),
+    "SweepConfig/seed": lambda k, rng: SweepConfig.single(0.1, seed=k),
     "run_trials/n": lambda k, rng: run_trials(build_network(1, 0.1), k, rng),
     "run_trials/workers": lambda k, rng: run_trials(build_network(1, 0.1), 100, rng, workers=k),
     "run_trials/block_size":
@@ -124,6 +126,15 @@ def test_integral_counts_are_stored_as_int(whole):
     assert all(type(v) is int for v in (cfg.pf_steps, cfg.trials, cfg.workers))
     estimate, _ = run_trials(build_network(1, 0.1), whole, RandomSource(0), whole, whole)
     assert estimate == run_trials(build_network(1, 0.1), 3, RandomSource(0))[0]
+
+
+@pytest.mark.parametrize("leaves", [
+    0.1, 0, 1, True, np.float64(0.1), np.float32(0.1), np.int64(1), np.array(0.1), "0.1",
+    b"0.1", None, (), (0.1,), (0.1, 0.2, 0.3), [], [0.1], [0.1, 0.2, 0.3], [[0.1]],
+    range(3), np.array([0.1]), np.array([0.1, 0.2, 0.3]), np.array([[0.1]]),
+], ids=repr)
+def test_one_rate_is_what_numpy_calls_zero_dimensional(leaves):
+    assert is_one_rate(leaves) is (np.ndim(leaves) == 0)
 
 
 @pytest.mark.parametrize("one", [1, np.int64(1), np.uint8(1)])
