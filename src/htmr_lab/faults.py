@@ -44,8 +44,9 @@ def check_integer(name: str, value) -> int:
 
 
 def check_probability(name: str, value: float) -> float:
-    """Validate that ``value`` is a probability; returns it as a float, -0.0 as 0.0."""
-    p = float(value)
+    """Validate that ``value`` is a probability, a number but not a bool,
+    string or bytes; returns it as a float, -0.0 as 0.0."""
+    p = math.nan if isinstance(value, (bool, str, bytes)) else float(value)
     if math.isnan(p) or not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return p + 0.0

@@ -22,7 +22,7 @@ exact walk of the top order per point (``subtree_error_probabilities``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -55,8 +55,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+_SWEEP_FIELDS = (
+    "pf_min", "pf_max", "pf_steps", "pf_scale", "orders", "pfmb", "trials", "scenario",
+    "seed", "workers",
+)
+
+
+class SweepConfig(namedtuple("SweepConfig", _SWEEP_FIELDS)):
     """Grid, orders, voter-fault mode, trial budget, and seed of one sweep.
 
     ``pfmb`` is either the string "pf" (voter fault rate tracks the module
@@ -68,65 +73,75 @@ class SweepConfig:
     checked values are stored: ``orders`` as ints, rates as floats, -0.0
     as 0.0, and a pattern in its shortest form, the shortest prefix that
     tiles to it (``NNFNNFNNF`` as ``NNF``, ``FFF`` as ``F``), so one tree
-    has one configuration.
+    has one configuration. A configuration is a tuple, equal to the tuple
+    of its fields; ``_replace`` checks as the constructor does, so
+    ``cfg._replace(scenario="NNFNNFNNF")`` stores ``NNF`` too.
     """
 
-    pf_min: float
-    pf_max: float
-    pf_steps: int
-    pf_scale: str = "lin"
-    orders: tuple[int, ...] = (0, 1, 2)
-    pfmb: Union[str, float] = 0.0
-    trials: int = 0
-    scenario: Optional[str] = None
-    seed: int = 0
-    workers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("pf_steps", "trials", "seed", "workers"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.pf_steps < 1:
-            raise ValueError(f"pf_steps must be >= 1, got {self.pf_steps}")
-        if self.pf_steps == 1:
-            pf = check_probability("pf", self.pf_min)
-            if pf != self.pf_max:
+    def __new__(
+        cls,
+        pf_min: float,
+        pf_max: float,
+        pf_steps: int,
+        pf_scale: str = "lin",
+        orders: tuple[int, ...] = (0, 1, 2),
+        pfmb: Union[str, float] = 0.0,
+        trials: int = 0,
+        scenario: Optional[str] = None,
+        seed: int = 0,
+        workers: int = 1,
+    ):
+        pf_steps = check_integer("pf_steps", pf_steps)
+        trials = check_integer("trials", trials)
+        seed = check_integer("seed", seed)
+        workers = check_integer("workers", workers)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if pf_steps < 1:
+            raise ValueError(f"pf_steps must be >= 1, got {pf_steps}")
+        if pf_steps == 1:
+            pf = check_probability("pf", pf_min)
+            if pf != pf_max:
                 raise ValueError("a single-point grid needs pf_min == pf_max")
-            object.__setattr__(self, "pf_min", pf)
-            object.__setattr__(self, "pf_max", pf)
+            pf_min = pf_max = pf
         else:
-            object.__setattr__(self, "pf_min", check_probability("pf_min", self.pf_min))
-            object.__setattr__(self, "pf_max", check_probability("pf_max", self.pf_max))
-            if not self.pf_min < self.pf_max:
+            pf_min = check_probability("pf_min", pf_min)
+            pf_max = check_probability("pf_max", pf_max)
+            if not pf_min < pf_max:
                 raise ValueError("grid needs pf_min < pf_max")
-        if self.pf_scale not in ("lin", "log"):
-            raise ValueError(f"pf_scale must be 'lin' or 'log', got {self.pf_scale!r}")
-        if self.pf_scale == "log" and self.pf_min <= 0.0:
+        if pf_scale not in ("lin", "log"):
+            raise ValueError(f"pf_scale must be 'lin' or 'log', got {pf_scale!r}")
+        if pf_scale == "log" and pf_min <= 0.0:
             raise ValueError("logarithmic grids need pf_min > 0")
-        if not self.orders:
+        if not orders:
             raise ValueError("at least one order is required")
-        object.__setattr__(self, "orders", tuple(check_order("orders", j) for j in self.orders))
-        if any(a >= b for a, b in zip(self.orders, self.orders[1:])):
-            raise ValueError(
-                f"orders must be strictly ascending, without repeats, got {self.orders}"
-            )
-        if isinstance(self.pfmb, str):
-            if self.pfmb != "pf":
-                raise ValueError(f"pfmb must be 'pf' or a probability, got {self.pfmb!r}")
-        else:
-            object.__setattr__(self, "pfmb", check_probability("pfmb", self.pfmb))
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if self.scenario is not None:
+        orders = tuple(check_order("orders", j) for j in orders)
+        if any(a >= b for a, b in zip(orders, orders[1:])):
+            raise ValueError(f"orders must be strictly ascending, without repeats, got {orders}")
+        if not (isinstance(pfmb, str) and pfmb == "pf"):
+            pfmb = check_probability("pfmb", pfmb)
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
+        if scenario is not None:
             # orders ascend, so a pattern that fits the lowest fits them all;
             # at rate 1 each letter keeps its own rate (at 0 all read N), so
             # the shortest rates are those of the shortest pattern's prefix
-            leaves = make_scenario(self.scenario, 1.0)
-            shortest = check_leaves("scenario letters", leaves, self.orders[0])
-            object.__setattr__(self, "scenario", self.scenario[: len(shortest)])
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            leaves = make_scenario(scenario, 1.0)
+            shortest = check_leaves("scenario letters", leaves, orders[0])
+            scenario = scenario[: len(shortest)]
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        return super().__new__(
+            cls, pf_min, pf_max, pf_steps, pf_scale, orders, pfmb, trials, scenario, seed,
+            workers,
+        )
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here: the changed values are checked too
+        return cls(*fields)
 
     @classmethod
     def single(cls, pf: float, **kwargs) -> "SweepConfig":
@@ -260,7 +275,7 @@ def scenario_suite(cfg: SweepConfig) -> dict[str, list[ComparisonRow]]:
     suite: dict[str, list[ComparisonRow]] = {}
     for s, pattern in enumerate(SCENARIO_PATTERNS):
         # SweepConfig enforces the scenario rule (the pattern fits)
-        sub = replace(cfg, scenario=pattern)
+        sub = cfg._replace(scenario=pattern)
         if cfg.trials >= 1:
             suite[pattern] = _empirical_rows(sub, RandomSource(cfg.seed).derive(s))
         else:

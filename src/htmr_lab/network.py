@@ -93,7 +93,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence, Union
 
 from .faults import SCRATCH_CELLS, RandomSource, check_integer, check_probability
@@ -129,23 +129,28 @@ MAX_BLOCK_BYTES = 1 << 28
 BITS_PER_WORKER = 1 << 26
 
 
-@dataclass(frozen=True)
-class HtmrNetwork:
+class HtmrNetwork(namedtuple("HtmrNetwork", ("order", "leaves", "voter_fault_rate"))):
     """Immutable description of a complete ternary voting tree.
 
     ``leaves`` holds 3**k leaf error rates, k <= ``order``, tiled across
-    the tree's 3**order leaves (see ``tile_scenario``).
+    the tree's 3**order leaves (see ``tile_scenario``). The checked values
+    are stored: ``order`` as an int, rates as floats, -0.0 as 0.0, and the
+    shortest leaves that tile to the same tree. A network is a tuple, equal
+    to the tuple of its fields; ``_replace`` checks as the constructor does.
     """
 
-    order: int
-    leaves: tuple[float, ...]
-    voter_fault_rate: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", check_order("order", self.order))
-        leaves = check_leaves("leaf error rates", self.leaves, self.order)
-        object.__setattr__(self, "leaves", leaves)
-        check_probability("voter_fault_rate", self.voter_fault_rate)
+    def __new__(cls, order: int, leaves: Sequence[float], voter_fault_rate: float):
+        order = check_order("order", order)
+        leaves = check_leaves("leaf error rates", leaves, order)
+        rate = check_probability("voter_fault_rate", voter_fault_rate)
+        return super().__new__(cls, order, leaves, rate)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here: the changed values are checked too
+        return cls(*fields)
 
     @property
     def leaf_count(self) -> int:
@@ -216,26 +221,28 @@ def simulate_bit(
     return level[0], tuple(alarms)
 
 
-@dataclass(frozen=True)
-class EmpiricalEstimate:
+class EmpiricalEstimate(namedtuple("EmpiricalEstimate", ("trials", "errors", "subtree_errors"))):
     """Monte-Carlo error-probability estimate with its binomial standard error.
 
     ``subtree_errors[k]``, where given, counts the errors of the root of
     the leftmost order-k subtree over the same trials, k = 0..order; the
-    last entry is ``errors``.
+    last entry is ``errors``. An estimate is a tuple, equal to the tuple of
+    its fields; ``_replace`` checks as the constructor does.
     """
 
-    trials: int
-    errors: int
-    subtree_errors: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.errors <= self.trials:
-            raise ValueError(
-                f"errors must lie in 0..trials ({self.trials}), got {self.errors}"
-            )
+    def __new__(cls, trials: int, errors: int, subtree_errors: tuple[int, ...] = ()):
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if not 0 <= errors <= trials:
+            raise ValueError(f"errors must lie in 0..trials ({trials}), got {errors}")
+        return super().__new__(cls, trials, errors, subtree_errors)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here: the changed values are checked too
+        return cls(*fields)
 
     def subtree(self, k: int) -> "EmpiricalEstimate":
         """The estimate of the leftmost order-``k`` subtree, from the same trials."""
@@ -251,21 +258,29 @@ class EmpiricalEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-@dataclass(frozen=True)
-class FaultStatusCounter:
-    """Accumulated alarm assertions per voter over a number of trials."""
+class FaultStatusCounter(namedtuple("FaultStatusCounter", ("alarm_counts", "trials"))):
+    """Accumulated alarm assertions per voter over a number of trials.
 
-    alarm_counts: tuple[int, ...]
-    trials: int
+    A counter is a tuple, equal to the tuple of its fields; ``_replace``
+    checks as the constructor does.
+    """
 
-    def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        for v, count in enumerate(self.alarm_counts):
-            if not 0 <= count <= self.trials:
+    __slots__ = ()
+
+    def __new__(cls, alarm_counts: tuple[int, ...], trials: int):
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
+        for v, count in enumerate(alarm_counts):
+            if not 0 <= count <= trials:
                 raise ValueError(
-                    f"alarm count of voter {v} must lie in 0..{self.trials}, got {count}"
+                    f"alarm count of voter {v} must lie in 0..{trials}, got {count}"
                 )
+        return super().__new__(cls, alarm_counts, trials)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here: the changed values are checked too
+        return cls(*fields)
 
 
 def _simulate_block(net: HtmrNetwork, lanes: np.ndarray, drawn: np.ndarray):

@@ -8,8 +8,7 @@ none of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .faults import check_probability
 from .reliability import check_order, operations_per_error, pe_order, subtree_error_probabilities
@@ -58,8 +57,10 @@ def present_operations(ops: float) -> str:
 TABLE3_RATES = (0.001, 0.01, 0.1, 0.3, 0.5)
 
 
-@dataclass(frozen=True)
-class Table3Row:
+class Table3Row(NamedTuple):
+    """Operations per error at one rate, for orders 0, 1, 2; a tuple, equal
+    to the tuple of its fields."""
+
     pf: float
     ops_exact: tuple[float, float, float]
     ops_presented: tuple[str, str, str]
@@ -80,8 +81,7 @@ def table3_report() -> tuple[Table3Row, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     """Audit of "each extra voting level strictly lowers the error rate".
 
     ``entries`` holds (level, error probability) for levels 1..j_max;
@@ -93,7 +93,8 @@ class PropositionReport:
     every decided comparison strictly decreased, "violated" if any did not,
     and "undetermined" if none is decided; the claim provably fails for
     module error rates at or above one half, and the report simply records
-    that rather than treating it as an error.
+    that rather than treating it as an error. A report is a tuple, equal to
+    the tuple of its fields.
     """
 
     pf: float
@@ -138,17 +139,18 @@ def evaluate_power_series(coefficients: Mapping[int, float], p: float) -> float:
     return float(sum(c * p ** k for k, c in sorted(coefficients.items())))
 
 
-@dataclass(frozen=True)
-class ExpansionSample:
+class ExpansionSample(NamedTuple):
+    """One sample of ``expansion_audit``; a tuple, equal to the tuple of its fields."""
+
     p: float
     composed: float
     claimed: float
     abs_difference: float
 
 
-@dataclass(frozen=True)
-class ExpansionAudit:
-    """Pointwise comparison of the claimed order-2 expansion vs the composition."""
+class ExpansionAudit(NamedTuple):
+    """Pointwise comparison of the claimed order-2 expansion vs the composition;
+    a tuple, equal to the tuple of its fields."""
 
     samples: tuple[ExpansionSample, ...]
     max_abs_difference: float

@@ -12,9 +12,9 @@ logic, no gate delays), and clocking is a discrete step: one
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import product
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 __all__ = [
     "TripleInput",
@@ -38,44 +38,58 @@ def check_bit(name: str, value: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class TripleInput:
-    """Outputs of the three redundant modules feeding one voter."""
+class TripleInput(namedtuple("TripleInput", ("y1", "y2", "y3"))):
+    """Outputs of the three redundant modules feeding one voter.
 
-    y1: int
-    y2: int
-    y3: int
+    A triple is a tuple, equal to the tuple of its bits; ``_replace``
+    checks as the constructor does.
+    """
 
-    def __post_init__(self) -> None:
-        check_bit("y1", self.y1)
-        check_bit("y2", self.y2)
-        check_bit("y3", self.y3)
+    __slots__ = ()
+
+    def __new__(cls, y1: int, y2: int, y3: int):
+        check_bit("y1", y1)
+        check_bit("y2", y2)
+        check_bit("y3", y3)
+        return super().__new__(cls, y1, y2, y3)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here: the changed values are checked too
+        return cls(*fields)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.y1, self.y2, self.y3)
 
 
-@dataclass(frozen=True)
-class VoteOutcome:
-    """Voted data bit plus the disagreement alarm for one operation."""
+class VoteOutcome(NamedTuple):
+    """Voted data bit plus the disagreement alarm for one operation.
+
+    An outcome is a tuple, equal to ``(value, alarm)``.
+    """
 
     value: int
     alarm: int
 
 
-@dataclass(frozen=True)
-class TmrRegister:
+class TmrRegister(namedtuple("TmrRegister", ("stored", "loaded"))):
     """Register element of a TMR flip-flop.
 
     Powers up storing 0; ``loaded`` records whether a clock edge has
-    occurred since reset.
+    occurred since reset. A register is a tuple, equal to the tuple of its
+    fields; ``_replace`` checks as the constructor does.
     """
 
-    stored: int = 0
-    loaded: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_bit("stored", self.stored)
+    def __new__(cls, stored: int = 0, loaded: bool = False):
+        check_bit("stored", stored)
+        return super().__new__(cls, stored, loaded)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here: the changed values are checked too
+        return cls(*fields)
 
 
 Bits = Union[TripleInput, Sequence[int]]
@@ -123,7 +137,7 @@ def vote_with_alarm(t: Bits) -> VoteOutcome:
 def flipflop_step(reg: TmrRegister, t: Bits) -> tuple[TmrRegister, VoteOutcome]:
     """One clock edge of a TMR flip-flop: vote, flag, register the vote."""
     outcome = vote_with_alarm(t)
-    return replace(reg, stored=outcome.value, loaded=True), outcome
+    return reg._replace(stored=outcome.value, loaded=True), outcome
 
 
 def enumerate_truth_table() -> list[tuple[TripleInput, VoteOutcome]]:

@@ -1,7 +1,6 @@
 """Sweeps, reference tables, and claim checks."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,7 +338,7 @@ class TestOneWalkPerPoint:
         cfg = SweepConfig(pf_min=0.1, pf_max=0.5, pf_steps=3, orders=(1, 3), trials=trials)
         scenario_suite(cfg)
         assert walks == [
-            (replace(cfg, scenario=pattern).leaves_at(pf), 3)
+            (cfg._replace(scenario=pattern).leaves_at(pf), 3)
             for pattern in SCENARIO_PATTERNS for pf in cfg.pf_values()
         ]
 

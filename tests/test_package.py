@@ -1,5 +1,5 @@
 """The package namespace resolves on first use, and a command loads only its own code:
-numpy only where a trial is drawn or a log grid is built."""
+numpy only where a trial is drawn or a log grid is built, and never ``dataclasses``."""
 
 import ast
 import importlib
@@ -50,7 +50,7 @@ import sys
 import htmr_lab.cli
 code = htmr_lab.cli.main(sys.argv[1:])
 watched = sorted(m for m in {WATCHED!r} if m in sys.modules)
-print((watched, "numpy" in sys.modules), file=sys.stderr)
+print((watched, "numpy" in sys.modules, "dataclasses" in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -93,9 +93,11 @@ def probe(*argv):
 
 
 def test_importing_the_cli_loads_no_numpy():
-    proc = probe("import sys, htmr_lab.cli; print('numpy' in sys.modules)")
+    # records are tuples: no dataclasses, and none of the inspect it imports
+    loaded = "[m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')]"
+    proc = probe(f"import sys, htmr_lab.cli; print(*{loaded})")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 @pytest.mark.parametrize("argv,loaded,numpy", [
@@ -117,4 +119,4 @@ def test_importing_the_cli_loads_no_numpy():
 def test_a_command_loads_only_its_own_code(argv, loaded, numpy):
     proc = probe(PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert ast.literal_eval(proc.stderr.splitlines()[-1]) == (loaded, numpy)
+    assert ast.literal_eval(proc.stderr.splitlines()[-1]) == (loaded, numpy, False)

@@ -8,7 +8,13 @@ import pytest
 
 from htmr_lab.faults import SCRATCH_CELLS, RandomSource, check_probability, make_scenario
 from htmr_lab.harness import SweepConfig
-from htmr_lab.network import build_network, run_trials, simulate_bit
+from htmr_lab.network import (
+    EmpiricalEstimate,
+    FaultStatusCounter,
+    build_network,
+    run_trials,
+    simulate_bit,
+)
 from htmr_lab.reliability import (
     check_leaves,
     is_one_rate,
@@ -89,6 +95,25 @@ INTEGER_ENTRIES = {
 }
 
 
+# a good record of each checked type, one of its fields and a value that field refuses
+RECORDS = {
+    "HtmrNetwork/order": (build_network(1, 0.1), "order", 17),
+    "HtmrNetwork/leaves": (build_network(1, 0.1), "leaves", (0.1, 0.2)),
+    "HtmrNetwork/voter_fault_rate": (build_network(1, 0.1), "voter_fault_rate", "0.1"),
+    "EmpiricalEstimate/trials": (EmpiricalEstimate(10, 3), "trials", 0),
+    "EmpiricalEstimate/errors": (EmpiricalEstimate(10, 3), "errors", 11),
+    "FaultStatusCounter/alarm_counts": (FaultStatusCounter((1, 2), 5), "alarm_counts", (1, 6)),
+    "FaultStatusCounter/trials": (FaultStatusCounter((0, 0), 5), "trials", -1),
+    "SweepConfig/pf_max": (SweepConfig.single(0.1), "pf_max", 0.2),
+    "SweepConfig/orders": (SweepConfig.single(0.1), "orders", (2, 1)),
+    "SweepConfig/pfmb": (SweepConfig.single(0.1), "pfmb", 1.5),
+    "SweepConfig/scenario": (SweepConfig.single(0.1, orders=(1, 2)), "scenario", "NNFNNFNNF"),
+    "SweepConfig/seed": (SweepConfig.single(0.1), "seed", -1),
+    "TripleInput/y2": (TripleInput(1, 0, 1), "y2", 2),
+    "TmrRegister/stored": (TmrRegister(), "stored", True),
+}
+
+
 def assert_untouched(rng):
     assert rng.uniforms(1)[0] == RandomSource(0).uniforms(1)[0]
 
@@ -103,7 +128,7 @@ def test_every_bit_entry_rejects_non_bits(entry, bad):
 
 
 @pytest.mark.parametrize("entry", sorted(PROBABILITY_ENTRIES))
-@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, "0.5", b"0.5", True])
 def test_every_probability_entry_rejects_non_probabilities(entry, bad):
     rng = RandomSource(0)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
@@ -144,3 +169,27 @@ def test_numpy_integers_are_bits(one):
     assert majority_vote(np.array([one, 0, one])) == 1
     out, _ = simulate_bit(build_network(1, 0.0), one, ())
     assert out == 1
+
+
+@pytest.mark.parametrize("case", sorted(RECORDS))
+def test_a_changed_record_is_checked_as_a_new_one(case):
+    good, field, bad = RECORDS[case]
+    fields = good._asdict() | {field: bad}
+    with pytest.raises(ValueError) as built:
+        type(good)(**fields)
+    with pytest.raises(ValueError) as replaced:
+        good._replace(**{field: bad})
+    with pytest.raises(ValueError) as made:
+        type(good)._make(fields.values())
+    assert str(replaced.value) == str(made.value) == str(built.value)
+
+
+def test_a_changed_record_stores_the_checked_values():
+    cfg = SweepConfig.single(0.1, orders=(2, 3), scenario="FFF")
+    assert cfg.scenario == "F"
+    assert cfg._replace(scenario="NNFNNFNNF").scenario == "NNF"
+    net = build_network(1, 0.1, -0.0)
+    assert net == (1, (0.1,), 0.0) and math.copysign(1.0, net.voter_fault_rate) == 1.0
+    changed = net._replace(leaves=[0.2] * 3, voter_fault_rate=np.float64(-0.0))
+    assert changed == build_network(1, 0.2) and type(changed.voter_fault_rate) is float
+    assert math.copysign(1.0, changed.voter_fault_rate) == 1.0
